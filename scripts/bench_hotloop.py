@@ -278,7 +278,7 @@ def bench_mix(n_mixes: int, cores: int, policies, prefetcher: str,
     before any timing is reported.
     """
     spec = RunSpec(prefetcher=prefetcher, warmup_instructions=warmup,
-                   sim_instructions=sim)
+                   sim_instructions=sim, packed=False)
     mixes = make_mixes(n_mixes, cores, seed)
     cells = [mix_cell_for(mix, spec, policy=policy, mix_id=i)
              for i, mix in enumerate(mixes) for policy in policies]
@@ -518,7 +518,7 @@ def main() -> int:
         for policy in args.policies:
             spec = RunSpec(prefetcher=prefetcher, policy=policy,
                            warmup_instructions=args.warmup,
-                           sim_instructions=args.sim)
+                           sim_instructions=args.sim, packed=False)
             cells.append(bench_cell(workload, spec, args.repeats))
 
     rows = [

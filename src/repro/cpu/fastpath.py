@@ -29,6 +29,12 @@ path.  Anything else falls back to the unmodified slow machinery:
   recount made lazy — see :func:`_make_fused_dispatch`; any policy,
   threshold, or seam the replica was not built for falls back to the
   engine's dispatch unchanged;
+* a replayable prefetcher's candidates may come from the pack's recorded
+  :class:`~repro.workloads.packed.PrefetchStream` instead of the live
+  prefetcher (``stream=``, passed only by :func:`repro.cpu.simulator.simulate`
+  for a fresh engine over the whole pack): in-page targets issue inline with
+  no request object, and only a page-cross candidate is built into a
+  :class:`~repro.core.context.PrefetchRequest` for the dispatch above;
 * a profiled engine (``engine.probe`` set) disables fusion entirely and
   runs a step-per-record loop, so probe timings still cover every seam.
 
@@ -40,27 +46,23 @@ loop runs until ``measured_instructions >= sim_instructions``.
 from __future__ import annotations
 
 from time import perf_counter
+from typing import Optional
 
+from repro.core.context import PrefetchRequest
 from repro.core.filter import PerceptronFilter
 from repro.core.thresholds import AdaptiveThreshold, StaticThreshold
 from repro.core.update_buffers import TrainingRecord
 from repro.cpu.branch import DEFAULT_HISTORY_LENGTHS, HashedPerceptronBranchPredictor
 from repro.cpu.core import CoreEngine
+from repro.cpu.simulator import count_drive
 from repro.mem.replacement import LruPolicy
-from repro.obs.metrics import get_metrics
 from repro.prefetch.next_line import NextLinePrefetcher
 from repro.vm.address import LINE_SHIFT, PAGE_4K_SHIFT, PAGE_2M_SHIFT, VA_MASK
 from repro.vm.page_table import Translation
-from repro.workloads.packed import PackedTrace
+from repro.workloads.packed import PackedTrace, PrefetchStream
 from repro.workloads.trace import BRANCH, DEPENDS, LOAD, MISPREDICT, STORE, TAKEN
 
 __all__ = ["drive_packed"]
-
-#: same instrument the generator loop increments (mode="generator"); one
-#: increment per drive entry, so the hot loop itself stays untouched
-_DRIVES = get_metrics().counter(
-    "sim.drives",
-    "drive-loop entries by mode (generator/fused/stepwise/vectorized)")
 
 
 def _lru_fusible(cache) -> bool:
@@ -264,25 +266,33 @@ def _drive_stepwise(engine: CoreEngine, packed: PackedTrace, warm_limit: int,
     return wall_seconds
 
 
-def drive_packed(engine: CoreEngine, packed: PackedTrace, config) -> float:
+def drive_packed(engine: CoreEngine, packed: PackedTrace, config,
+                 stream: Optional[PrefetchStream] = None) -> float:
     """Feed a packed trace through a built engine (warm-up + measured region).
 
     Returns wall-clock seconds spent, like :func:`repro.cpu.simulator.drive`;
     raises the same :class:`ValueError` on an incomplete warm-up or a
     truncated measured region.  Behaviour (every statistic, every timestamp)
     is identical to driving the same records through ``engine.step``.
+
+    ``stream`` replays ``packed``'s recorded prefetch candidates in place of
+    calling the engine's prefetcher.  It is only sound when the engine is
+    fresh, drives the pack from its first record, and its prefetcher is a
+    factory-built instance of the replayable class the stream was recorded
+    from — :func:`repro.cpu.simulator.simulate` checks exactly that.
     """
     if engine.probe is not None:
         # profiled run: fusion would bypass the probe's timed seams
-        _DRIVES.inc(mode="stepwise")
+        count_drive("stepwise")
         return _drive_stepwise(engine, packed,
                                config.warmup_instructions,
                                config.sim_instructions)
-    _DRIVES.inc(mode="fused")
-    return _drive_fused(engine, packed, config)
+    count_drive("fused", replayed=stream is not None)
+    return _drive_fused(engine, packed, config, stream)
 
 
-def _drive_fused(engine: CoreEngine, packed: PackedTrace, config) -> float:
+def _drive_fused(engine: CoreEngine, packed: PackedTrace, config,
+                 stream: Optional[PrefetchStream] = None) -> float:
     """The fused record-at-a-time kernel (no mode accounting of its own).
 
     Shared by :func:`drive_packed` and — for event records and ineligible
@@ -317,6 +327,15 @@ def _drive_fused(engine: CoreEngine, packed: PackedTrace, config) -> float:
     mem_load, mem_store, mem_ifetch = engine._mem_load, engine._mem_store, engine._mem_ifetch
     pf_on_access = engine._pf_on_access
     dispatch_pf = _make_fused_dispatch(engine) or engine._dispatch_prefetches
+    replay = stream is not None
+    if replay:
+        s_ends, s_targets = stream.ends, stream.targets
+        s_deltas, s_ranks = stream.deltas, stream.ranks
+        prefetch_l1d = h.prefetch_l1d
+    #: memory records driven so far (the stream's record index), and the
+    #: first recorded candidate of the next one
+    mem_k = 0
+    c_lo = 0
     fctx = engine.fctx
     fctx_seen = fctx._seen_pages
     fctx_cap = fctx._seen_cap
@@ -580,11 +599,39 @@ def _drive_fused(engine: CoreEngine, packed: PackedTrace, config) -> float:
             fctx_vh[0] = vaddr
             fctx.last_pc = pc
             fctx.last_vaddr = vaddr
-            requests = pf_on_access(pc, vaddr, hit, t_mem)
-            if requests:
-                if tr is None:
-                    tr = Translation(tr_vpn, tr_pfn, tr_shift)
-                dispatch_pf(requests, vaddr, tr, t_mem, pc)
+            if replay:
+                # recorded candidates: an in-page target issues inline (==
+                # the dispatch's step-A arm); a page-cross one becomes a
+                # request for the dispatch, in the recorded order
+                c_hi = s_ends[mem_k]
+                mem_k += 1
+                if c_hi != c_lo:
+                    if tr is None:
+                        pf_base = tr_pfn << tr_shift
+                        pf_mask = (1 << tr_shift) - 1
+                    else:
+                        pf_base = tr.pfn << tr.page_shift
+                        pf_mask = tr.page_bytes - 1
+                    for j in range(c_lo, c_hi):
+                        target = s_targets[j]
+                        if (target >> S4) == page:
+                            pf_paddr = pf_base | (target & pf_mask)
+                            pline = pf_paddr >> LS
+                            if l1d_sets[pline & l1d_mask].get(pline) is None:
+                                prefetch_l1d(pf_paddr, t_mem)
+                        else:
+                            if tr is None:
+                                tr = Translation(tr_vpn, tr_pfn, tr_shift)
+                            dispatch_pf(
+                                (PrefetchRequest(target, pc, s_deltas[j], s_ranks[j]),),
+                                vaddr, tr, t_mem, pc)
+                    c_lo = c_hi
+            else:
+                requests = pf_on_access(pc, vaddr, hit, t_mem)
+                if requests:
+                    if tr is None:
+                        tr = Translation(tr_vpn, tr_pfn, tr_shift)
+                    dispatch_pf(requests, vaddr, tr, t_mem, pc)
         else:
             complete = dispatch + 1.0
 

@@ -41,8 +41,8 @@ The tier is only *profitable* under an inert L1D prefetcher (the stock
 ``NoPrefetcher``) with plain-LRU L1s and the default next-line I-prefetcher:
 anything else makes nearly every record an event, so
 :func:`drive_packed_vec` then delegates wholesale to the fused kernel
-(still accounted as ``sim.drives{mode="vectorized"}`` — the metric records
-tier *selection*; an attached probe routes to the stepwise loop as usual).
+(accounted as ``sim.drives{mode="fused"}`` — the metric records the loop
+that actually ran; an attached probe routes to the stepwise loop as usual).
 """
 
 from __future__ import annotations
@@ -53,12 +53,12 @@ import numpy as np
 
 from repro.cpu.core import CoreEngine
 from repro.cpu.fastpath import (
-    _DRIVES,
     _drive_fused,
     _drive_stepwise,
     _lru_fusible,
     _raise_if_truncated,
 )
+from repro.cpu.simulator import count_drive
 from repro.prefetch.base import NoPrefetcher
 from repro.prefetch.next_line import NextLinePrefetcher
 from repro.vm.address import LINE_SHIFT, PAGE_4K_SHIFT, PAGE_2M_SHIFT
@@ -113,14 +113,14 @@ def drive_packed_auto(engine: CoreEngine, packed: PackedTrace, config) -> float:
     still read as fused-vs-vectorized ratios.  Bit-identical either way.
     """
     if engine.probe is not None:
-        _DRIVES.inc(mode="stepwise")
+        count_drive("stepwise")
         return _drive_stepwise(engine, packed,
                                config.warmup_instructions,
                                config.sim_instructions)
     if _vec_capable(engine) and predict_vec_win(packed):
-        _DRIVES.inc(mode="vectorized")
+        count_drive("vectorized")
         return _drive_vectorized(engine, packed, config)
-    _DRIVES.inc(mode="fused")
+    count_drive("fused")
     return _drive_fused(engine, packed, config)
 
 
@@ -158,13 +158,14 @@ def drive_packed_vec(engine: CoreEngine, packed: PackedTrace, config) -> float:
     a profiled engine routes to the stepwise loop.
     """
     if engine.probe is not None:
-        _DRIVES.inc(mode="stepwise")
+        count_drive("stepwise")
         return _drive_stepwise(engine, packed,
                                config.warmup_instructions,
                                config.sim_instructions)
-    _DRIVES.inc(mode="vectorized")
     if not _vec_capable(engine):
+        count_drive("fused")
         return _drive_fused(engine, packed, config)
+    count_drive("vectorized")
     return _drive_vectorized(engine, packed, config)
 
 

@@ -43,10 +43,16 @@ from dataclasses import dataclass, replace
 from time import perf_counter
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from repro.cpu.simulator import SimConfig, SimResult, build_engine, collect_result, simulate
+from repro.cpu.simulator import (
+    SimConfig,
+    SimResult,
+    build_engine,
+    collect_result,
+    count_drive,
+    simulate,
+)
 from repro.mem.cache import Cache
 from repro.mem.dram import Dram
-from repro.obs.metrics import get_metrics
 from repro.obs.tracing import trace_span
 from repro.workloads.synthetic import SyntheticWorkload
 
@@ -56,13 +62,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.validate.invariants import InvariantChecker
 
 _INF = float("inf")
-
-#: the same instrument the single-core drive loops increment; mix drives are
-#: labelled ``mix-generator`` / ``mix-packed`` so merged grid metrics
-#: attribute multicore work separately from single-core runs
-_DRIVES = get_metrics().counter(
-    "sim.drives",
-    "drive-loop entries by mode (generator/fused/stepwise/vectorized)")
 
 
 def weighted_speedup(
@@ -297,7 +296,7 @@ def simulate_mix(
             checker.attach(engine)
     packed = config.packed or config.kernel == "vectorized"
     mode = "mix-packed" if packed else "mix-generator"
-    _DRIVES.inc(mode=mode)
+    count_drive(mode)
     drive = _drive_mix_packed if packed else _drive_mix_generator
     wall_start = perf_counter()
     with trace_span("mix-drive", mix=mix_id, cores=cores, mode=mode):

@@ -35,12 +35,29 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: builds a fresh policy per run (policies are stateful and must not be shared)
 PolicyFactory = Callable[[], PageCrossPolicy]
 
-#: one increment per drive-loop entry, labelled by mode (``generator`` |
-#: ``fused`` | ``stepwise`` | ``vectorized``) — the fast-path-vs-fallback
-#: ratio of a grid is readable straight off the merged metrics
-_DRIVES = get_metrics().counter(
+#: one increment per drive-loop entry, labelled by the loop that actually
+#: ran: ``generator`` | ``fused`` | ``stepwise`` | ``vectorized`` (single
+#: core), ``mix-generator`` | ``mix-packed`` (one per mix), and ``sampled``
+#: (one per phase-sampled run, whose stitched segments count as well) — the
+#: fast-path-vs-fallback ratio of a grid is readable off the merged metrics
+DRIVES = get_metrics().counter(
     "sim.drives",
-    "drive-loop entries by mode (generator/fused/stepwise/vectorized)")
+    "drive-loop entries by mode (generator/fused/stepwise/vectorized/"
+    "mix-generator/mix-packed/sampled)")
+
+#: one increment per drive loop, labelled by where its L1D prefetch
+#: candidates came from: ``replayed`` (the pack's recorded
+#: :class:`~repro.workloads.packed.PrefetchStream`) or ``live`` (the
+#: engine's prefetcher was called)
+PREFETCH_STREAMS = get_metrics().counter(
+    "sim.prefetch_streams",
+    "drive loops by prefetch-candidate source (replayed/live)")
+
+
+def count_drive(mode: str, *, replayed: bool = False) -> None:
+    """Account one drive-loop entry in ``sim.drives`` and ``sim.prefetch_streams``."""
+    DRIVES.inc(mode=mode)
+    PREFETCH_STREAMS.inc(source="replayed" if replayed else "live")
 
 
 @dataclass
@@ -293,7 +310,7 @@ def drive(engine: CoreEngine, workload: Workload, config: SimConfig) -> float:
     """
     warm_limit = config.warmup_instructions
     sim_limit = config.sim_instructions
-    _DRIVES.inc(mode="generator")
+    count_drive("generator")
     step = engine.step
     measuring = False
     wall_start = perf_counter()
@@ -361,16 +378,27 @@ def simulate(
     if config.packed or config.kernel != "fused":
         from repro.workloads.packed import get_packed
 
-        if config.kernel == "vectorized":
-            from repro.cpu.fastpath_vec import drive_packed_vec as _drive
-        elif config.kernel == "auto":
-            from repro.cpu.fastpath_vec import drive_packed_auto as _drive
-        else:
-            from repro.cpu.fastpath import drive_packed as _drive
-
         packed = get_packed(workload, config.warmup_instructions, config.sim_instructions)
         with trace_span("drive", workload=workload.name, mode="packed"):
-            wall_seconds = _drive(engine, packed, config)
+            if config.kernel == "vectorized":
+                from repro.cpu.fastpath_vec import drive_packed_vec
+
+                wall_seconds = drive_packed_vec(engine, packed, config)
+            elif config.kernel == "auto":
+                from repro.cpu.fastpath_vec import drive_packed_auto
+
+                wall_seconds = drive_packed_auto(engine, packed, config)
+            else:
+                from repro.cpu.fastpath import drive_packed
+
+                stream = None
+                if engine.probe is None and engine.prefetcher.replayable:
+                    # this fresh engine drives the whole pack with a
+                    # factory-built prefetcher, so its candidates are the
+                    # pack's recorded stream (built by the first such drive)
+                    stream = packed.prefetch_stream(
+                        config.prefetcher, config.prefetcher_extra_storage)
+                wall_seconds = drive_packed(engine, packed, config, stream)
     else:
         with trace_span("drive", workload=workload.name, mode="generator"):
             wall_seconds = drive(engine, workload, config)

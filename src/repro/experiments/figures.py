@@ -391,7 +391,7 @@ def fig19_multicore(
     cache=None,
     obs=None,
     shm: Optional[bool] = None,
-    packed: bool = False,
+    packed: bool = True,
     kernel: str = "fused",
     validate: bool = False,
     progress=None,

@@ -64,9 +64,11 @@ class RunSpec:
     #: a validated run produces the same SimResult, so the result cache
     #: deliberately ignores this knob — see `cell_fingerprint`)
     validate: bool = False
-    #: drive each run through the packed fast path (bit-identical results;
-    #: like `validate`, excluded from the cell fingerprint)
-    packed: bool = False
+    #: drive each run through the packed fused kernel (the default; results
+    #: are bit-identical to the generator loop, so like `validate` it is
+    #: excluded from the cell fingerprint).  ``packed=False`` keeps the
+    #: reference generator loop
+    packed: bool = True
     #: packed kernel tier ("fused", "vectorized", or "auto"); anything but
     #: "fused" implies the packed path and — being bit-identical — is also
     #: excluded from the cell fingerprint

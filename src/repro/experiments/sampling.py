@@ -50,8 +50,8 @@ from dataclasses import dataclass, replace
 from time import perf_counter
 from typing import TYPE_CHECKING, Optional
 
+from repro.cpu.simulator import DRIVES
 from repro.experiments.stats_ci import BootstrapInterval, bootstrap_statistic
-from repro.obs.metrics import get_metrics
 from repro.obs.tracing import trace_span
 from repro.workloads.packed import PackedTrace, get_packed
 from repro.workloads.trace import BRANCH, MISPREDICT
@@ -61,11 +61,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs import Observability
     from repro.workloads.trace import Workload
 
-#: same instrument the drive loops increment; one per *sampled run* (the
-#: per-representative drives additionally count under their kernel's mode)
-_DRIVES = get_metrics().counter(
-    "sim.drives",
-    "drive-loop entries by mode (generator/fused/stepwise/vectorized)")
 
 #: signature feature names, in matrix-column order (docs + introspection)
 SIGNATURE_FEATURES = (
@@ -532,7 +527,9 @@ def simulate_sampled(
     sampling = config.sampling
     if sampling is None:
         raise ValueError("simulate_sampled needs config.sampling set")
-    _DRIVES.inc(mode="sampled")
+    # one per *sampled run*; the stitched per-representative drives
+    # additionally count under their kernel's mode (always a live stream)
+    DRIVES.inc(mode="sampled")
     wall_start = perf_counter()
     packed = get_packed(workload, config.warmup_instructions,
                         config.sim_instructions)

@@ -20,6 +20,15 @@ class L1dPrefetcher:
 
     name = "none"
 
+    #: True when :meth:`on_access` output is a function of the ``(pc, vaddr)``
+    #: sequence alone: ``hit`` and ``t`` are ignored and :meth:`on_fill` is
+    #: the base no-op.  One pass of a fresh instance over a trace's memory
+    #: records then yields the candidate stream every engine would see, so
+    #: the packed kernel may replay it (:class:`repro.workloads.packed.PrefetchStream`)
+    #: instead of calling the prefetcher.  A subclass that reads ``hit``/``t``
+    #: or learns from fills must set it back to False.
+    replayable = False
+
     def __init__(self, *, extra_storage_bytes: int = 0):
         #: ISO-storage knob: DRIPPER's budget handed to the prefetcher instead
         self.extra_storage_bytes = extra_storage_bytes

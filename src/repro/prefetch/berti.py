@@ -35,6 +35,7 @@ class BertiPrefetcher(L1dPrefetcher):
     """Berti L1D prefetcher."""
 
     name = "berti"
+    replayable = True
 
     def __init__(
         self,

@@ -24,6 +24,7 @@ class BopPrefetcher(L1dPrefetcher):
     """BOP prefetcher (usable at L1D or, page-clamped, at L2)."""
 
     name = "bop"
+    replayable = True
 
     def __init__(
         self,

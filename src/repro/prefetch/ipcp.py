@@ -38,6 +38,7 @@ class IpcpPrefetcher(L1dPrefetcher):
     """IPCP L1D prefetcher."""
 
     name = "ipcp"
+    replayable = True
 
     def __init__(
         self,

@@ -10,6 +10,8 @@ Two complementary layers guard the simulator's headline counters:
   metamorphic checks over the production code paths — determinism,
   parallel == serial, shm grid == serial, discard == source suppression,
   epoch invariance, packed == generator (single-core and per mix core),
+  replayed prefetch-candidate streams == live prefetchers
+  (:func:`check_prefetch_replay_matches_live`),
   sampled-within-error-bound against a full run
   (:func:`check_sampled_matches_full`), a clean invariant pass per
   (workload × policy), and
@@ -21,6 +23,7 @@ from repro.validate.differential import (
     CheckOutcome,
     check_mix_packed_matches_generator,
     check_packed_matches_generator,
+    check_prefetch_replay_matches_live,
     check_sampled_matches_full,
     check_shm_grid_matches_serial,
     result_diff,
@@ -33,6 +36,7 @@ __all__ = [
     "CheckOutcome",
     "check_mix_packed_matches_generator",
     "check_packed_matches_generator",
+    "check_prefetch_replay_matches_live",
     "check_sampled_matches_full",
     "check_shm_grid_matches_serial",
     "InvariantChecker",

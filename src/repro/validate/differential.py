@@ -22,6 +22,10 @@ field by field:
 * **packed-vs-generator** — driving through the packed-trace fast path
   (``SimConfig(packed=True)``) is bit-identical to the generator drive
   loop for every fuzz prefetcher under discard and DRIPPER;
+* **prefetch-replay-vs-live** — a packed drive that replays the pack's
+  recorded prefetch-candidate stream equals a packed drive that calls a
+  caller-supplied (hence live) prefetcher, for Berti, IPCP and BOP under
+  every Fig. 9 filter family; sampled and mix drives never replay;
 * **mix-packed-vs-generator** — the packed multi-core mix loop
   (:func:`repro.cpu.multicore.simulate_mix` with ``packed=True``) equals
   the generator mix loop per core, on a mix whose QMM core (halved
@@ -43,8 +47,18 @@ import random
 from dataclasses import dataclass, fields, replace
 from typing import Any, Callable, Optional, Sequence
 
-from repro.core.policies import PermitPgc
-from repro.cpu.simulator import SimConfig, SimResult, build_engine, collect_result, drive, simulate
+from repro.core.filter import FilterConfig, PerceptronFilter
+from repro.core.policies import PageCrossPolicy, PermitPgc
+from repro.core.specialized import SPECIALIZED_FEATURES
+from repro.cpu.simulator import (
+    PREFETCH_STREAMS,
+    SimConfig,
+    SimResult,
+    build_engine,
+    collect_result,
+    drive,
+    simulate,
+)
 from repro.experiments.parallel import cell_for, run_cells
 from repro.experiments.runner import RunSpec
 from repro.params import DEFAULT_PARAMS
@@ -59,6 +73,14 @@ from repro.workloads.registry import by_name
 _FUZZ_PREFETCHERS = ("berti", "ipcp", "bop")
 #: epoch lengths the fuzz and the invariance check draw from
 _FUZZ_EPOCHS = (1024, 2048, 4096)
+#: page-cross policies the replay check covers (one per Fig. 9 filter family)
+_REPLAY_POLICIES = ("discard", "permit", "iso", "ppf", "dripper")
+
+
+def _degree_filter() -> PageCrossPolicy:
+    """A filter whose decisions read the request's delta and rank (``meta``)."""
+    return PerceptronFilter(FilterConfig(
+        program_features=("Delta", SPECIALIZED_FEATURES["DegreeIndex"])))
 
 
 @dataclass
@@ -119,6 +141,9 @@ class _SuppressCrossPage(L1dPrefetcher):
 
 
 def _spec(prefetcher: str, policy: str, warmup: int, sim: int, **overrides: Any) -> RunSpec:
+    """A check's RunSpec; it runs the reference generator loop unless told
+    ``packed=True`` (checks compare the fast paths *against* that loop)."""
+    overrides.setdefault("packed", False)
     return RunSpec(
         prefetcher=prefetcher,
         policy=policy,
@@ -285,6 +310,84 @@ def check_packed_matches_generator(workload_name: str, *, warmup: int,
             outcomes.append(CheckOutcome(
                 name, True, f"identical at ipc {generator.ipc:.3f}"
             ))
+    return outcomes
+
+
+def _streams_by_source() -> dict[str, float]:
+    return {source: PREFETCH_STREAMS.value(source=source)
+            for source in ("replayed", "live")}
+
+
+def _stream_delta(before: dict[str, float]) -> dict[str, float]:
+    return {source: value - before[source]
+            for source, value in _streams_by_source().items()}
+
+
+def check_prefetch_replay_matches_live(workload_names: Sequence[str], *, warmup: int,
+                                       sim: int) -> list[CheckOutcome]:
+    """Replaying a pack's prefetch-candidate stream equals calling the prefetcher.
+
+    For every replayable prefetcher (Berti, IPCP, BOP) under each Fig. 9
+    filter family — plus a filter on the Delta and DegreeIndex features,
+    so a replayed delta or rank that differs changes decisions — the *live*
+    reference drives the pack through the fused kernel with a
+    caller-supplied prefetcher (never replayed); two
+    :func:`simulate` calls of the same config then replay — the first may
+    build the stream, the second reuses it — and both must equal the live
+    run bit-for-bit.  ``sim.prefetch_streams`` must show exactly those two
+    replays.  A phase-sampled run and a packed mix must count only
+    ``source="live"``: their engines resume mid-pack, so a recorded stream
+    would not line up with them.
+    """
+    from repro.cpu.fastpath import drive_packed
+    from repro.cpu.multicore import simulate_mix
+    from repro.experiments.sampling import SamplingConfig
+    from repro.workloads.packed import get_packed
+
+    outcomes = []
+    for workload_name in workload_names:
+        workload = by_name(workload_name)
+        for prefetcher in _FUZZ_PREFETCHERS:
+            for policy in (*_REPLAY_POLICIES, "delta+degree"):
+                if policy == "delta+degree":
+                    config = replace(_spec(prefetcher, "permit", warmup, sim, packed=True)
+                                     .config_for(workload), policy_factory=_degree_filter)
+                else:
+                    config = _spec(prefetcher, policy, warmup, sim,
+                                   packed=True).config_for(workload)
+                name = f"prefetch-replay-vs-live[{workload_name}/{prefetcher}/{policy}]"
+                before = _streams_by_source()
+                engine = build_engine(config, prefetcher=make_l1d_prefetcher(
+                    prefetcher, extra_storage_bytes=config.prefetcher_extra_storage))
+                drive_packed(engine, get_packed(workload, config.warmup_instructions,
+                                                config.sim_instructions), config)
+                live = collect_result(engine, workload.name, config)
+                first = simulate(workload, config)
+                second = simulate(workload, config)
+                counted = _stream_delta(before)
+                diffs = result_diff(live, second) or result_diff(live, first)
+                if diffs:
+                    outcomes.append(CheckOutcome(name, False, _summarise(diffs)))
+                elif counted != {"replayed": 2, "live": 1}:
+                    outcomes.append(CheckOutcome(
+                        name, False, f"expected 2 replayed + 1 live drives, counted {counted}"))
+                else:
+                    outcomes.append(CheckOutcome(
+                        name, True, f"identical at ipc {live.ipc:.3f} "
+                                    f"({live.pgc_candidates} page-cross candidates)"))
+    anchor = by_name(workload_names[0])
+    config = _spec("berti", "dripper", warmup, sim, packed=True).config_for(anchor)
+    for kind, run in (
+        ("sampled", lambda: simulate(anchor, replace(
+            config, sampling=SamplingConfig(intervals=4, phases=2, resamples=50)))),
+        ("mix", lambda: simulate_mix([anchor, by_name("hmmer")], config)),
+    ):
+        before = _streams_by_source()
+        run()
+        counted = _stream_delta(before)
+        ok = counted["replayed"] == 0 and counted["live"] >= 1
+        outcomes.append(CheckOutcome(
+            f"prefetch-stream-live-only[{kind}]", ok, f"counted {counted}"))
     return outcomes
 
 
@@ -581,6 +684,9 @@ def run_validation_suite(
     for outcome in check_packed_matches_generator(anchor, warmup=warmup, sim=sim):
         record(outcome)
     for outcome in check_vectorized_matches_fused(anchor, warmup=warmup, sim=sim):
+        record(outcome)
+    for outcome in check_prefetch_replay_matches_live(workload_names, warmup=warmup,
+                                                      sim=sim):
         record(outcome)
     for outcome in check_sampled_matches_full(anchor, prefetcher=prefetcher,
                                               policy=policies[-1],

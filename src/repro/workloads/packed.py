@@ -34,6 +34,7 @@ from array import array
 from collections import OrderedDict
 from typing import Callable, Iterator, Optional
 
+from repro.vm.address import VA_MASK
 from repro.workloads.trace import (
     BRANCH,
     DEPENDS,
@@ -119,12 +120,69 @@ class PackIndex:
         self.weight = (1 + g).astype(np.float64)
 
 
+def _narrowest(values: array) -> array:
+    """``values`` (signed) in the narrowest typecode that holds every one."""
+    for code in ("b", "h", "i"):
+        try:
+            return array(code, values)
+        except OverflowError:
+            continue
+    return values
+
+
+class PrefetchStream:
+    """The prefetch candidates one replayable L1D prefetcher proposes over a pack.
+
+    Built by a single pass of a fresh prefetcher over the pack's memory
+    records (see :attr:`repro.prefetch.base.L1dPrefetcher.replayable`) and
+    stored as four compact columns: ``ends[k]`` closes the candidate run of
+    the k-th memory record (its run is ``[ends[k-1], ends[k])``), and each
+    candidate keeps its VA-masked target address, its signed line delta
+    from the trigger and its rank (the request's ``meta``).  The packed
+    kernel replays it in place of calling the prefetcher.
+    """
+
+    __slots__ = ("ends", "targets", "deltas", "ranks")
+
+    def __init__(self, packed: "PackedTrace", prefetcher) -> None:
+        ends = array("I")
+        targets = array("Q")
+        deltas = array("q")
+        ranks = array("q")
+        end = ends.append
+        target = targets.append
+        delta = deltas.append
+        rank = ranks.append
+        on_access = prefetcher.on_access
+        mem = LOAD | STORE
+        for pc, vaddr, flag in zip(packed.pcs, packed.vaddrs, packed.flags):
+            if flag & mem:
+                for req in on_access(pc, vaddr, True, 0.0):
+                    target(req.vaddr & VA_MASK)
+                    delta(req.delta)
+                    rank(req.meta)
+                end(len(targets))
+        self.ends = ends
+        self.targets = targets
+        self.deltas = _narrowest(deltas)
+        self.ranks = _narrowest(ranks)
+
+    def __len__(self) -> int:
+        """Number of recorded candidates."""
+        return len(self.targets)
+
+    def nbytes(self) -> int:
+        """Buffer size in bytes (the four columns)."""
+        return sum(col.itemsize * len(col)
+                   for col in (self.ends, self.targets, self.deltas, self.ranks))
+
+
 class PackedTrace:
     """A finite, column-packed prefix of one workload's trace."""
 
     __slots__ = ("name", "suite", "pcs", "vaddrs", "flags", "gaps",
                  "instructions", "warmup", "sim", "complete",
-                 "_views", "_index")
+                 "_views", "_index", "_streams")
 
     def __init__(self, name: str, suite: str, pcs: array, vaddrs: array,
                  flags: array, gaps: array, *, warmup: int, sim: int,
@@ -146,6 +204,9 @@ class PackedTrace:
         #: lazily built numpy column views / vectorization index
         self._views = None
         self._index = None
+        #: lazily built prefetch-candidate streams, keyed by
+        #: (prefetcher name, prefetcher extra storage bytes)
+        self._streams: dict[tuple[str, int], PrefetchStream] = {}
 
     @classmethod
     def from_workload(cls, workload: Workload, warmup: int, sim: int) -> "PackedTrace":
@@ -231,6 +292,31 @@ class PackedTrace:
         if self._index is None:
             self._index = PackIndex(self)
         return self._index
+
+    def prefetch_stream(self, prefetcher: str, extra_storage: int = 0) -> PrefetchStream:
+        """The pack's :class:`PrefetchStream` for one prefetcher (built once, cached).
+
+        Built from a fresh ``make_l1d_prefetcher(prefetcher,
+        extra_storage_bytes=extra_storage)``, which must declare itself
+        ``replayable``.  The stream lives exactly as long as the pack (it
+        leaves the process with the pack's pack-cache entry); shm-attached
+        packs build their own per process, like :meth:`index`.
+        """
+        key = (prefetcher, extra_storage)
+        stream = self._streams.get(key)
+        if stream is None:
+            from repro.obs.tracing import trace_span
+            from repro.prefetch import make_l1d_prefetcher
+
+            source = make_l1d_prefetcher(prefetcher, extra_storage_bytes=extra_storage)
+            if not source.replayable:
+                raise ValueError(
+                    f"prefetcher {prefetcher!r} does not declare a replayable "
+                    "candidate stream (its output depends on more than pc/vaddr)")
+            with trace_span("prefetch-stream", workload=self.name,
+                            prefetcher=prefetcher, extra_storage=extra_storage):
+                stream = self._streams[key] = PrefetchStream(self, source)
+        return stream
 
 
 class PackedWorkload:

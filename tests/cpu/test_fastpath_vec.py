@@ -82,16 +82,16 @@ class TestDriveMetric:
         simulate(by_name("hot_0"), config(kernel="vectorized"))
         assert drives.value(mode="vectorized") == before + 1
 
-    def test_delegated_run_counts_tier_selection(self):
-        # the metric records tier *selection*: a delegating run increments
-        # the vectorized series, not the fused one
+    def test_delegated_run_counts_fused(self):
+        # the metric records the loop that actually ran: a run the span
+        # predicate cannot take is handed to the fused kernel and counts there
         drives = get_metrics().counter("sim.drives")
         before_vec = drives.value(mode="vectorized")
         before_fused = drives.value(mode="fused")
         simulate(by_name("hot_0"),
                  config(prefetcher="berti", kernel="vectorized"))
-        assert drives.value(mode="vectorized") == before_vec + 1
-        assert drives.value(mode="fused") == before_fused
+        assert drives.value(mode="vectorized") == before_vec
+        assert drives.value(mode="fused") == before_fused + 1
 
 
 class TestAutoKernel:

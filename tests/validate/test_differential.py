@@ -9,6 +9,7 @@ from repro.validate.differential import (
     check_discard_source_equivalence,
     check_epoch_invariance,
     check_invariants_clean,
+    check_prefetch_replay_matches_live,
     result_diff,
     run_validation_suite,
 )
@@ -65,6 +66,18 @@ class TestMetamorphicChecks:
             prefetcher="berti", warmup=WARMUP, sim=SIM,
         )
         assert len(outcomes) == 3
+        for outcome in outcomes:
+            assert outcome.passed, f"{outcome.name}: {outcome.detail}"
+
+    def test_prefetch_replay_matches_live(self):
+        outcomes = check_prefetch_replay_matches_live(["hmmer"], warmup=WARMUP, sim=SIM)
+        names = {o.name for o in outcomes}
+        # 3 prefetchers x (5 Fig. 9 families + the delta/rank filter), plus
+        # the live-only assertions for a sampled run and a mix
+        assert len(outcomes) == 3 * 6 + 2
+        assert "prefetch-replay-vs-live[hmmer/bop/iso]" in names
+        assert {"prefetch-stream-live-only[sampled]",
+                "prefetch-stream-live-only[mix]"} <= names
         for outcome in outcomes:
             assert outcome.passed, f"{outcome.name}: {outcome.detail}"
 

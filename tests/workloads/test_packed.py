@@ -1,6 +1,7 @@
 """Packed trace buffers: generator equality, window sizing, caching, replay."""
 
 import gc
+from dataclasses import replace
 
 import pytest
 
@@ -299,3 +300,88 @@ class TestPackedSimulation:
         )
         packed = get_packed(w, 2_000, 6_000)
         assert result_diff(simulate(w, config), simulate(packed.replay(), config)) == {}
+
+
+class TestPrefetchStream:
+    WINDOW = (2_000, 6_000)
+
+    def test_stream_matches_a_fresh_prefetcher(self):
+        from repro.prefetch import make_l1d_prefetcher
+        from repro.vm.address import VA_MASK
+        from repro.workloads.trace import LOAD, STORE
+
+        packed = PackedTrace.from_workload(by_name("astar"), *self.WINDOW)
+        stream = packed.prefetch_stream("berti")
+        berti = make_l1d_prefetcher("berti")
+        expected, ends = [], []
+        for pc, vaddr, flag, _gap in packed.records():
+            if flag & (LOAD | STORE):
+                expected += [(r.vaddr & VA_MASK, r.delta, r.meta)
+                             for r in berti.on_access(pc, vaddr, True, 0.0)]
+                ends.append(len(expected))
+        assert list(stream.ends) == ends
+        assert list(zip(stream.targets, stream.deltas, stream.ranks)) == expected
+        assert len(stream) == len(expected) > 0
+        assert stream.nbytes() == 4 * len(ends) + 8 * len(expected) + 2 * len(expected)
+
+    def test_cached_per_prefetcher_and_storage(self):
+        packed = PackedTrace.from_workload(by_name("astar"), *self.WINDOW)
+        stream = packed.prefetch_stream("berti")
+        assert packed.prefetch_stream("berti") is stream
+        assert packed.prefetch_stream("berti", 1475) is not stream
+        assert packed.prefetch_stream("ipcp") is not stream
+
+    def test_non_replayable_prefetcher_rejected(self):
+        packed = PackedTrace.from_workload(by_name("astar"), *self.WINDOW)
+        with pytest.raises(ValueError, match="replayable"):
+            packed.prefetch_stream("berti-timely")
+
+    def test_built_at_first_drive_not_at_packing(self):
+        w = by_name("hmmer")
+        packed = get_packed(w, *self.WINDOW)
+        assert packed._streams == {}
+        simulate(w, SimConfig(prefetcher="bop", warmup_instructions=self.WINDOW[0],
+                              sim_instructions=self.WINDOW[1], packed=True))
+        assert set(packed._streams) == {("bop", 0)}
+
+
+class TestStreamReplay:
+    """simulate() replays factory-built replayable prefetchers, and only those."""
+
+    def config(self, **overrides):
+        return replace(SimConfig(prefetcher="berti", warmup_instructions=2_000,
+                                 sim_instructions=6_000, packed=True), **overrides)
+
+    def sources(self):
+        from repro.obs.metrics import get_metrics
+
+        counter = get_metrics().counter("sim.prefetch_streams")
+        return counter.value(source="replayed"), counter.value(source="live")
+
+    def counted(self, run):
+        replayed, live = self.sources()
+        result = run()
+        after = self.sources()
+        return result, (after[0] - replayed, after[1] - live)
+
+    def test_replayed_run_matches_generator(self):
+        w = by_name("astar")
+        generator = simulate(w, self.config(packed=False))
+        replayed, counted = self.counted(lambda: simulate(w, self.config()))
+        assert counted == (1, 0)
+        assert result_diff(generator, replayed) == {}
+
+    def test_non_replayable_prefetcher_stays_live(self):
+        w = by_name("astar")
+        _, counted = self.counted(
+            lambda: simulate(w, self.config(prefetcher="berti-timely")))
+        assert counted == (0, 1)
+
+    def test_probed_run_stays_live(self):
+        from repro.obs import Observability
+        from repro.obs.profiling import Probe
+
+        w = by_name("astar")
+        obs = Observability(probe=Probe())
+        _, counted = self.counted(lambda: simulate(w, self.config(), obs=obs))
+        assert counted == (0, 1)
