@@ -201,6 +201,12 @@ class Cache:
             if pcb:
                 self.pgc_fills += 1
 
+    def absorb_writeback(self, line: int, t: float) -> None:
+        """Take a dirty victim written back from the level above."""
+        if self.probe(line) is None:
+            self.fill(line, t, t)
+        self.probe(line).dirty = True
+
     def invalidate(self, line: int) -> None:
         """Drop the line if resident (no writeback, no statistics)."""
         self._set_for(line).pop(line, None)

@@ -41,31 +41,14 @@ class MemoryHierarchy:
             self.llc = shared_llc
         else:
             self.llc = Cache(params.llc, writeback=self.dram.write)
-        self.l2c = Cache(params.l2c, writeback=self._writeback_to_llc)
-        self.l1d = Cache(params.l1d, writeback=self._writeback_to_l2)
-        self.l1i = Cache(params.l1i, writeback=self._writeback_to_l2)
+        # each level knows only the one below: a tree (DESIGN.md §16)
+        self.l2c = Cache(params.l2c, writeback=self.llc.absorb_writeback)
+        self.l1d = Cache(params.l1d, writeback=self.l2c.absorb_writeback)
+        self.l1i = Cache(params.l1i, writeback=self.l2c.absorb_writeback)
         #: this core's demand traffic at the (possibly shared) LLC — the
         #: shared cache's own stats aggregate all cores, which must not feed
         #: a single core's epoch heuristics or per-core MPKIs
         self.llc_core_stats = HitMissStats()
-
-    # -- writeback chain ---------------------------------------------------
-
-    def _writeback_to_l2(self, line: int, t: float) -> None:
-        block = self.l2c.probe(line)
-        if block is None:
-            self.l2c.fill(line, t, t)
-            block = self.l2c.probe(line)
-        if block is not None:
-            block.dirty = True
-
-    def _writeback_to_llc(self, line: int, t: float) -> None:
-        block = self.llc.probe(line)
-        if block is None:
-            self.llc.fill(line, t, t)
-            block = self.llc.probe(line)
-        if block is not None:
-            block.dirty = True
 
     # -- lower-level read path ----------------------------------------------
 

@@ -40,7 +40,8 @@ the breakage, then call it from :meth:`check_epoch` (per-epoch laws) or
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Optional
+import weakref
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cpu.core import CoreEngine
@@ -88,6 +89,15 @@ class InvariantViolation(AssertionError):
         }
 
 
+def _unowned(fn: Callable[..., Any]) -> Callable[..., Any]:
+    """`fn` minus its bound object: a wrap stored on that object would
+    otherwise close a reference cycle (DESIGN.md §16)."""
+    if not hasattr(fn, "__self__"):
+        return fn  # an earlier wrap (each mix core's checker wraps the shared LLC)
+    ref = weakref.WeakMethod(fn)
+    return lambda *args, **kw: ref()(*args, **kw)
+
+
 class InvariantChecker:
     """Asserts conservation laws over a live :class:`CoreEngine`.
 
@@ -125,21 +135,21 @@ class InvariantChecker:
 
         engine.epoch_listener = on_epoch
 
-        prev_begin = engine.begin_measurement
+        h = engine.hierarchy
+        prev_begin = _unowned(engine.begin_measurement)
 
         def begin_measurement() -> None:
             prev_begin()
-            pf, pcb = engine.hierarchy.l1d.resident_prefetch_counts()
+            pf, pcb = h.l1d.resident_prefetch_counts()
             self.snapshot_resident_prefetched = pf
             self.snapshot_resident_pcb = pcb
 
         engine.begin_measurement = begin_measurement
-        h = engine.hierarchy
         for cache in (h.l1i, h.l1d, h.l2c, h.llc):
             self._wrap_fill(cache)
 
     def _wrap_fill(self, cache: "Cache") -> None:
-        original = cache.fill
+        original = _unowned(cache.fill)
         name = cache.name
 
         def checked_fill(line: int, t: float, ready: float, **kw: Any) -> None:
