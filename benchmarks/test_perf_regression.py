@@ -162,51 +162,6 @@ class TestMixThroughput:
             "scheduling regressed?")
 
 
-class TestVectorizedKernelTier:
-    """The vectorized drive kernel (PR 7) must stay exact and stay fast.
-
-    ``BENCH_0006.json`` records the fused-vs-vectorized speedup per kernel
-    cell at the tier's design point (long, hit-dominated packed traces).
-    Equality is the hard contract; the throughput floor is the same generous
-    half-of-recorded used for the telemetry smoke — enough to catch the
-    span-skipping scan degenerating into per-record stepping without gating
-    merges on CI timing noise.
-    """
-
-    MARGIN = 0.5
-
-    def _baseline(self):
-        import json
-        from pathlib import Path
-
-        doc = json.loads(
-            (Path(__file__).resolve().parent.parent / "BENCH_0006.json").read_text())
-        return {c["workload"]: c["vectorized_speedup"]
-                for c in doc["kernel"]["cells"]}
-
-    def test_hit_dominated_cell_identical_and_fast(self):
-        workload = by_name("hot_0")
-        warmup, sim = 8_000, 120_000
-        spec = RunSpec(prefetcher="none", policy="discard",
-                       warmup_instructions=warmup, sim_instructions=sim)
-        fused_config = spec.config_for(workload)
-        fused_config.packed = True
-        vec_config = spec.config_for(workload)
-        vec_config.packed = True
-        vec_config.kernel = "vectorized"
-        get_packed(workload, warmup, sim)  # pre-pack (steady-state timing)
-        t_fused, fused_result = _best_of(2, lambda: simulate(workload, fused_config))
-        t_vec, vec_result = _best_of(2, lambda: simulate(workload, vec_config))
-        assert result_diff(fused_result, vec_result) == {}
-        recorded = self._baseline()["hot_0"]
-        floor = max(1.0, recorded * self.MARGIN)
-        measured = t_fused / t_vec
-        assert measured > floor, (
-            f"hot_0: vectorized speedup {measured:.2f}x fell below "
-            f"{floor:.2f}x (BENCH_0006 recorded {recorded:.2f}x) — is the "
-            "span scan bailing to per-record stepping?")
-
-
 class TestSampledSimulation:
     """Phase-sampled simulation (PR 10) must stay fast *and* stay honest.
 

@@ -16,11 +16,6 @@ workload-affine scheduler replaying zero-copy shared-memory packs
 (``grid_session`` + ``run_cells(shm=True)``).  Both leg's results are
 diffed against a serial reference run before any timing is reported.
 
-The kernel-tier benchmark (on by default) races the fused packed kernel
-against the vectorized span-skipping tier
-(``SimConfig(kernel="vectorized")``) on hit-dominated kernel workloads
-plus the main workload, again aborting unless the tiers are bit-identical.
-
 ``--sampled`` benchmarks phase-sampled simulation
 (:mod:`repro.experiments.sampling`) instead: one full packed run against
 the stitched representative reconstruction at paper-like scale (default
@@ -154,48 +149,6 @@ def bench_cell(workload, spec: RunSpec, repeats: int) -> dict:
         #: median of per-pair wall-time ratios (see _best_of_interleaved)
         "speedup": speedup,
         "ipc": gen_result.ipc,
-    }
-
-
-def bench_kernel_cell(workload, spec: RunSpec, repeats: int) -> dict:
-    """Time the fused vs vectorized packed kernels; assert equality."""
-    fused_config = spec.config_for(workload)
-    fused_config.packed = True
-    vec_config = spec.config_for(workload)
-    vec_config.packed = True
-    vec_config.kernel = "vectorized"
-
-    packed_trace = get_packed(workload, fused_config.warmup_instructions,
-                              fused_config.sim_instructions)
-    records = len(packed_trace)
-
-    t_fused, fused_result, t_vec, vec_result, speedup = _best_of_interleaved(
-        repeats,
-        lambda: simulate(workload, fused_config),
-        lambda: simulate(workload, vec_config),
-    )
-
-    diffs = result_diff(fused_result, vec_result)
-    if diffs:
-        parts = "; ".join(f"{k}: {a!r} != {b!r}" for k, (a, b) in diffs.items())
-        raise SystemExit(
-            f"FAIL: vectorized result diverged from fused for "
-            f"{workload.name}/{spec.prefetcher}/{spec.policy}: {parts}"
-        )
-
-    return {
-        "workload": workload.name,
-        "prefetcher": spec.prefetcher,
-        "policy": spec.policy,
-        "records": records,
-        "instructions": fused_result.instructions,
-        "fused_seconds": t_fused,
-        "vectorized_seconds": t_vec,
-        "fused_records_per_sec": records / t_fused,
-        "vectorized_records_per_sec": records / t_vec,
-        #: median of per-pair wall-time ratios (see _best_of_interleaved)
-        "vectorized_speedup": speedup,
-        "ipc": fused_result.ipc,
     }
 
 
@@ -401,15 +354,6 @@ def main() -> int:
     parser.add_argument("--grid-jobs", type=int, default=2)
     parser.add_argument("--grid-repeats", type=int, default=3,
                         help="interleaved grid repeats (default: 3)")
-    parser.add_argument("--kernel-workloads", nargs="+",
-                        default=["hot_0", "astar"],
-                        help="workloads for the fused-vs-vectorized kernel "
-                             "tier benchmark ('' to skip)")
-    parser.add_argument("--kernel-sim", type=int, default=240_000,
-                        help="measured instructions for the kernel tier "
-                             "benchmark (longer than --sim so the per-run "
-                             "fixed costs — engine build, result collection "
-                             "— do not dilute the drive-loop ratio)")
     parser.add_argument("--out", default=str(REPO_ROOT / "BENCH_0006.json"),
                         help="JSON summary path ('' to skip writing)")
     parser.add_argument("--mix", action="store_true",
@@ -544,33 +488,6 @@ def main() -> int:
         "python": platform.python_version(),
         "cells": cells,
     }
-
-    kernel_names = [n for n in args.kernel_workloads if n]
-    if kernel_names:
-        # the vectorized tier only engages under the inert prefetcher; the
-        # hit-dominated kernel workloads are its design-point cells
-        kernel_cells = []
-        for name in kernel_names:
-            spec = RunSpec(prefetcher="none", policy="discard",
-                           warmup_instructions=args.warmup,
-                           sim_instructions=args.kernel_sim)
-            kernel_cells.append(bench_kernel_cell(by_name(name), spec, args.repeats))
-        payload["kernel"] = {
-            "prefetcher": "none",
-            "policy": "discard",
-            "cells": kernel_cells,
-        }
-        print(format_table(
-            ["workload", "fused rec/s", "vectorized rec/s", "speedup"],
-            [(c["workload"],
-              f"{c['fused_records_per_sec'] / 1e3:.1f}k",
-              f"{c['vectorized_records_per_sec'] / 1e3:.1f}k",
-              f"{c['vectorized_speedup']:.2f}x")
-             for c in kernel_cells],
-            f"fused vs vectorized packed kernel "
-            f"(best of {args.repeats}, {args.warmup}+{args.kernel_sim} "
-            f"instructions)",
-        ))
 
     if args.grid:
         grid = bench_grid(args.grid_workloads, args.policies,

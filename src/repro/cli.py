@@ -113,7 +113,6 @@ def _spec(args: argparse.Namespace, policy: str) -> RunSpec:
         large_page_fraction=args.large_pages,
         validate=getattr(args, "validate", False),
         packed=getattr(args, "packed", False),
-        kernel=getattr(args, "kernel", "fused"),
         sampling=_sampling_config(args),
     )
 
@@ -331,7 +330,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         sim_instructions=args.sim,
         validate=args.validate,
         packed=args.packed,
-        kernel=args.kernel,
         sampling=_sampling_config(args),
     )
     _setup_telemetry(args)
@@ -503,7 +501,6 @@ def cmd_mix(args: argparse.Namespace) -> int:
         obs=obs,
         shm=args.shm,
         packed=args.packed,
-        kernel=args.kernel,
         validate=args.validate,
         progress=_progress_sink(args),
     )
@@ -674,12 +671,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--packed", action="store_true",
                        help="drive the simulation through the packed-trace fast "
                             "path (bit-identical results, substantially faster)")
-        p.add_argument("--kernel", choices=("fused", "vectorized", "auto"),
-                       default="fused",
-                       help="packed kernel tier: 'vectorized' skips uneventful "
-                            "spans with numpy scans, 'auto' probes each pack's "
-                            "event density and picks the winning tier (both "
-                            "imply --packed; bit-identical results)")
         p.add_argument("--sampling", type=_positive_int, default=None,
                        metavar="PHASES",
                        help="phase-sampled simulation: cluster the trace into "
@@ -765,10 +756,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="attach the runtime invariant checker to every run")
     swp_p.add_argument("--packed", action="store_true",
                        help="drive every run through the packed-trace fast path")
-    swp_p.add_argument("--kernel", choices=("fused", "vectorized", "auto"),
-                       default="fused",
-                       help="packed kernel tier for every run (vectorized/"
-                            "auto imply --packed)")
     swp_p.add_argument("--sampling", type=_positive_int, default=None,
                        metavar="PHASES",
                        help="phase-sample every sweep cell into PHASES phases "
@@ -816,10 +803,6 @@ def build_parser() -> argparse.ArgumentParser:
     mix_p.add_argument("--packed", action="store_true",
                        help="drive serial mixes through the packed mix loop "
                             "(workers always use it; bit-identical results)")
-    mix_p.add_argument("--kernel", choices=("fused", "vectorized"),
-                       default="fused",
-                       help="packed kernel tier for every core (vectorized "
-                            "implies --packed)")
     add_parallel_args(mix_p)
     g = mix_p.add_argument_group("observability")
     g.add_argument("--journal", metavar="PATH", default=None,

@@ -1,15 +1,13 @@
-"""Batched drive loop over packed traces (the simulation hot path).
+"""The fused record kernel: the simulation hot path over packed traces.
 
-:func:`drive_packed` is a drop-in replacement for
-:func:`repro.cpu.simulator.drive` that consumes a
-:class:`~repro.workloads.packed.PackedTrace` instead of a generator and
-iterates with the engine's timeline scalars hoisted into locals.  The
-dominant per-record case — same I-line, dTLB hit, L1 hit under LRU — is
-fully fused inline: the exact side effects of :meth:`Tlb.lookup`,
-:meth:`Cache.lookup`, and the hierarchy hit timing are replicated
-statement-for-statement (same statistics increments, same LRU ticks, same
-float operation order), so a fused run is bit-identical to the generator
-path.  Anything else falls back to the unmodified slow machinery:
+:func:`core_stepper` is the one fused record body.  It replicates
+:meth:`CoreEngine.step` statement for statement for the dominant record
+case — same I-line, dTLB hit, L1 hit under LRU — with the engine's timeline
+scalars hoisted into locals: the exact side effects of
+:meth:`Tlb.lookup`, :meth:`Cache.lookup` and the hierarchy hit timing are
+replayed in place (same statistics increments, same LRU ticks, same float
+operation order), so a fused run is bit-identical to the generator loop.
+Anything else falls back to the unmodified slow machinery:
 
 * epoch rollovers stay on the fused loop: the record runs through the fused
   body, then the hoisted scalars are flushed and
@@ -34,19 +32,59 @@ path.  Anything else falls back to the unmodified slow machinery:
   prefetcher (``stream=``, passed only by :func:`repro.cpu.simulator.simulate`
   for a fresh engine over the whole pack): in-page targets issue inline with
   no request object, and only a page-cross candidate is built into a
-  :class:`~repro.core.context.PrefetchRequest` for the dispatch above;
-* a profiled engine (``engine.probe`` set) disables fusion entirely and
-  runs a step-per-record loop, so probe timings still cover every seam.
+  :class:`~repro.core.context.PrefetchRequest` for the dispatch above.
 
-The measurement window follows the fixed drive-loop semantics: warm-up ends
-at the first record boundary at or after ``warmup_instructions``, and the
-loop runs until ``measured_instructions >= sim_instructions``.
+The body runs inside a **generator coroutine**, so its ~50 hoisted locals
+survive between calls: a mix core parks at a bare ``yield`` when the
+scheduler switches cores, and resuming it costs one ``send()``.  The
+stepper reports events; its callers decide what each one means::
+
+    gen = core_stepper(engine, records, warm_limit, sim_limit, i)
+    next(gen)                          # run the hoists, park before record 0
+    event, x = gen.send((bound_t, bound_i))   # run until an event:
+    #   ("bound", retire_t)  — (retire_t, i) reached the scheduling bound;
+    #                          resume with the next bound
+    #   ("finish", retire_t) — the measured region just completed; engine
+    #                          scalars are flushed so the caller can collect
+    #                          the result; resume with the records to replay
+    #   ("end", measuring)   — the record source ran out (``measuring``: the
+    #                          warm-up had completed); resume with the next
+    #                          record source
+    gen.close()                        # flush scalars back to the engine
+
+The core may keep stepping while ``(retire_t, i) < (bound_t, bound_i)``,
+which is exactly the condition under which re-pushing and popping the mix
+scheduler's heap would return the same core again.  There are two callers:
+
+* :func:`drive_packed` (single core, and every stitched segment of a
+  phase-sampled run) sends the unbounded bound ``(inf, 0)`` once, so the
+  run ends at ``finish`` — or at ``end``, which raises the generator loop's
+  truncation errors;
+* :func:`repro.cpu.multicore._drive_mix_packed` schedules the cores of a
+  mix by their bounds, and answers ``finish`` and ``end`` alike with a
+  fresh pass over the core's records (:func:`repro.cpu.fastpath_mix.core_pass`),
+  so a finished core replays and a finite trace wraps.
+
+Event placement matches the generator loops' per-record checks: warm-up
+ends at the first record boundary at or after ``warm_limit``
+(``begin_measurement`` is looked up per call, so an attached
+:class:`~repro.validate.InvariantChecker`'s wrapper still fires), the
+finish event fires once ``sim_limit`` instructions have been measured, and
+the bound check runs after each record including the finishing one.  The
+timeline scalars are flushed to the engine at every point the outside
+world may look at it — epoch rollovers, ``begin_measurement``, the finish
+event, and generator close — and only then.
+
+A profiled engine (``engine.probe`` set) bypasses the kernel: fusion would
+skip the probe's timed seams, so :func:`drive_packed` steps each record
+through :meth:`CoreEngine.step` instead.
 """
 
 from __future__ import annotations
 
+from math import nextafter
 from time import perf_counter
-from typing import Optional
+from typing import Iterable, Optional
 
 from repro.core.context import PrefetchRequest
 from repro.core.filter import PerceptronFilter
@@ -60,9 +98,15 @@ from repro.prefetch.next_line import NextLinePrefetcher
 from repro.vm.address import LINE_SHIFT, PAGE_4K_SHIFT, PAGE_2M_SHIFT, VA_MASK
 from repro.vm.page_table import Translation
 from repro.workloads.packed import PackedTrace, PrefetchStream
-from repro.workloads.trace import BRANCH, DEPENDS, LOAD, MISPREDICT, STORE, TAKEN
+from repro.workloads.trace import BRANCH, DEPENDS, LOAD, MISPREDICT, STORE, TAKEN, Record
 
-__all__ = ["drive_packed"]
+__all__ = ["core_stepper", "drive_packed"]
+
+_INF = float("inf")
+_NEG_INF = -_INF
+
+#: the scheduling bound of a single-core run: no other core to yield to
+_UNBOUNDED = (_INF, 0)
 
 
 def _lru_fusible(cache) -> bool:
@@ -232,75 +276,18 @@ def _make_fused_dispatch(engine: CoreEngine):
     return dispatch
 
 
-def _raise_if_truncated(engine: CoreEngine, packed: PackedTrace, measuring: bool,
-                        warm_limit: int, sim_limit: int) -> None:
-    if not measuring:
-        raise ValueError(
-            f"workload {packed.name!r} ended after {engine.instructions} instructions, "
-            f"before the {warm_limit}-instruction warm-up completed"
-        )
-    if engine.measured_instructions < sim_limit:
-        raise ValueError(
-            f"workload {packed.name!r} ended after {engine.instructions} instructions, "
-            f"truncating the measured region to "
-            f"{engine.measured_instructions} of the requested "
-            f"{sim_limit} instructions"
-        )
+def core_stepper(engine: CoreEngine, records: Iterable[Record], warm_limit: int,
+                 sim_limit: int, core_index: int,
+                 stream: Optional[PrefetchStream] = None):
+    """Build the resumable fused stepper for one core (see the module doc).
 
-
-def _drive_stepwise(engine: CoreEngine, packed: PackedTrace, warm_limit: int,
-                    sim_limit: int) -> float:
-    """Packed records through the full step() — used when a probe is attached."""
-    step = engine.step
-    measuring = False
-    wall_start = perf_counter()
-    for pc, vaddr, flags, gap in packed.records():
-        step(pc, vaddr, flags, gap)
-        if not measuring and engine.instructions >= warm_limit:
-            engine.begin_measurement()
-            measuring = True
-        if measuring and engine.measured_instructions >= sim_limit:
-            break
-    wall_seconds = perf_counter() - wall_start
-    _raise_if_truncated(engine, packed, measuring, warm_limit, sim_limit)
-    return wall_seconds
-
-
-def drive_packed(engine: CoreEngine, packed: PackedTrace, config,
-                 stream: Optional[PrefetchStream] = None) -> float:
-    """Feed a packed trace through a built engine (warm-up + measured region).
-
-    Returns wall-clock seconds spent, like :func:`repro.cpu.simulator.drive`;
-    raises the same :class:`ValueError` on an incomplete warm-up or a
-    truncated measured region.  Behaviour (every statistic, every timestamp)
-    is identical to driving the same records through ``engine.step``.
-
-    ``stream`` replays ``packed``'s recorded prefetch candidates in place of
-    calling the engine's prefetcher.  It is only sound when the engine is
-    fresh, drives the pack from its first record, and its prefetcher is a
-    factory-built instance of the replayable class the stream was recorded
-    from — :func:`repro.cpu.simulator.simulate` checks exactly that.
+    ``records`` is the first record source to drive; every ``finish`` or
+    ``end`` event is answered with the next one.  ``stream`` replays the
+    recorded prefetch candidates of the records' memory accesses in place
+    of calling the engine's prefetcher (see :func:`drive_packed`); it covers
+    exactly one pass from the engine's first record, so a caller that
+    passes it must not resume the stepper after either event.
     """
-    if engine.probe is not None:
-        # profiled run: fusion would bypass the probe's timed seams
-        count_drive("stepwise")
-        return _drive_stepwise(engine, packed,
-                               config.warmup_instructions,
-                               config.sim_instructions)
-    count_drive("fused", replayed=stream is not None)
-    return _drive_fused(engine, packed, config, stream)
-
-
-def _drive_fused(engine: CoreEngine, packed: PackedTrace, config,
-                 stream: Optional[PrefetchStream] = None) -> float:
-    """The fused record-at-a-time kernel (no mode accounting of its own).
-
-    Shared by :func:`drive_packed` and — for event records and ineligible
-    engines — :func:`repro.cpu.fastpath_vec.drive_packed_vec`.
-    """
-    warm_limit = config.warmup_instructions
-    sim_limit = config.sim_instructions
-
     # ---- loop-invariant hoists ------------------------------------------
     end_epoch = engine._end_epoch
     h = engine.hierarchy
@@ -371,6 +358,8 @@ def _drive_fused(engine: CoreEngine, packed: PackedTrace, config,
     S4, S2 = PAGE_4K_SHIFT, PAGE_2M_SHIFT
     F_MEM = LOAD | STORE
 
+    core = core_index
+
     # ---- hoisted timeline scalars ---------------------------------------
     instructions = engine.instructions
     fetch_t = engine.fetch_t
@@ -382,385 +371,486 @@ def _drive_fused(engine: CoreEngine, packed: PackedTrace, config,
     last_iline = engine._last_iline
     next_epoch = engine._next_epoch
     measuring = False
-    measure_start = 0
-    #: single per-record boundary compare: the warm-up limit until measurement
-    #: begins, then the absolute stop point (measure_start + sim_limit)
-    threshold = warm_limit
+    #: single per-record boundary compare: the warm-up limit until
+    #: measurement begins, then the absolute finish point, then +inf while
+    #: a finished core replays
+    boundary = warm_limit
 
-    wall_start = perf_counter()
-    for pc, vaddr, flag, gap in zip(packed.pcs, packed.vaddrs, packed.flags, packed.gaps):
-        instructions = n = instructions + 1 + gap
+    # the core yields once (retire_t, core) >= (bound_t, bound_i): for a
+    # lower bound_i that is retire_t >= bound_t, i.e. retire_t above the
+    # next float below bound_t, so one compare per record decides
+    bound_t, bound_i = yield ("ready", 0.0)
+    yield_above = bound_t if bound_i > core else nextafter(bound_t, _NEG_INF)
+    try:
+        while True:
+            for pc, vaddr, flag, gap in records:
+                instructions = n = instructions + 1 + gap
 
-        # front end
-        fetch_t += (1 + gap) * fetch_cpi
-        iline = pc >> LS
-        if iline != last_iline:
-            last_iline = iline
-            vpn = pc >> S4
-            entry = itlb_sets[vpn & itlb_mask].get((vpn, S4))
-            shift = S4
-            if entry is None:
-                vpn = pc >> S2
-                entry = itlb_sets[vpn & itlb_mask].get((vpn, S2))
-                shift = S2
-            if entry is not None:
-                # fused iTLB hit (== Tlb.lookup's hit arm)
-                itlb._tick = t_k = itlb._tick + 1
-                itlb_stats.accesses += 1
-                itlb_stats.hits += 1
-                entry[1] = t_k
-                if entry[2]:
-                    itlb.prefetch_hits += 1
-                    entry[2] = False
-                ilat = itlb_lat_f
-                ibase = (entry[0] << shift) | (pc & ((1 << shift) - 1))
-                itr_shift = shift
-            else:
-                # side-effect-free probe missed: the full path records it
-                ilat, itr = translate_instr(pc, fetch_t)
-                ibase = itr.physical(pc)
-                itr_shift = itr.page_shift
-            t_i = fetch_t + ilat
-            fline = ibase >> LS
-            iset = l1i_sets[fline & l1i_mask]
-            blk = iset.get(fline)
-            if blk is not None and l1i_fused:
-                # fused L1I hit (== Cache.lookup + ifetch's hit arm)
-                l1i_stats.accesses += 1
-                l1i_stats.hits += 1
-                l1i_demand.accesses += 1
-                l1i_demand.hits += 1
-                l1i_pol._tick = p_k = l1i_pol._tick + 1
-                blk.lru = p_k
-                del iset[fline]
-                iset[fline] = blk
-                if blk.prefetched and blk.hits == 0:
-                    l1i.prefetch_useful += 1
-                    if blk.pcb:
-                        l1i.pgc_useful += 1
-                        if l1i_listener is not None:
-                            l1i_listener.on_pcb_hit(fline)
-                blk.hits += 1
-                flat = blk.ready - t_i
-                if flat < l1i_lat_f:
-                    flat = l1i_lat_f
-            else:
-                flat = mem_ifetch(ibase, t_i)
-            penalty = (ilat - itlb_lat) + (flat - l1i_lat)
-            if penalty > 0:
-                fetch_t += penalty
-            if l1i_nl_fused:
-                # fused next-line I-prefetcher (== on_fetch, degree 2);
-                # prefetch_l1i returns without side effects on a resident
-                # line, so probing here skips the call entirely
-                if fline != l1i_pf._last_line:
-                    l1i_pf._last_line = fline
-                    nline = fline + 1
-                    if l1i_sets[nline & l1i_mask].get(nline) is None:
-                        prefetch_l1i(nline << LS, fetch_t)
-                    nline = fline + 2
-                    if l1i_sets[nline & l1i_mask].get(nline) is None:
-                        prefetch_l1i(nline << LS, fetch_t)
-            else:
-                for target_line in l1i_pf_on_fetch(fline):
-                    prefetch_l1i(target_line << LS, fetch_t)
-            extra_lines = (gap * 4) >> LS
-            if extra_lines:
-                page_mask = (1 << itr_shift) - 1
-                frame_left = (page_mask - (ibase & page_mask)) >> LS
-                if extra_lines > frame_left:
-                    extra_lines = frame_left
-                if extra_lines > 8:
-                    extra_lines = 8
-                for k in range(1, extra_lines + 1):
-                    flat = mem_ifetch(ibase + (k << LS), fetch_t)
-                    if flat > l1i_lat:
-                        fetch_t += flat - l1i_lat
-
-        # dispatch: ROB occupancy constraint
-        limit = n - rob_entries
-        while rob_q and rob_q[0][0] <= limit:
-            rob_head_retire = rob_popleft()[1]
-        dispatch = fetch_t
-        if rob_head_retire > dispatch:
-            blocked_from = dispatch if dispatch > rob_block_end else rob_block_end
-            if rob_head_retire > blocked_from:
-                rob_stall += rob_head_retire - blocked_from
-                rob_block_end = rob_head_retire
-            dispatch = rob_head_retire
-        if flag & DEPENDS and last_load_complete > dispatch:
-            dispatch = last_load_complete
-
-        # memory access
-        if flag & F_MEM:
-            vpn = vaddr >> S4
-            entry = dtlb_sets[vpn & dtlb_mask].get((vpn, S4))
-            shift = S4
-            if entry is None:
-                vpn = vaddr >> S2
-                entry = dtlb_sets[vpn & dtlb_mask].get((vpn, S2))
-                shift = S2
-            if entry is not None:
-                # fused dTLB hit; Translation built lazily below
-                dtlb._tick = t_k = dtlb._tick + 1
-                dtlb_stats.accesses += 1
-                dtlb_stats.hits += 1
-                entry[1] = t_k
-                if entry[2]:
-                    dtlb.prefetch_hits += 1
-                    entry[2] = False
-                tr = None
-                tr_vpn, tr_pfn, tr_shift = vpn, entry[0], shift
-                paddr = (tr_pfn << shift) | (vaddr & ((1 << shift) - 1))
-                t_mem = dispatch + dtlb_lat_f
-            else:
-                trans_lat, tr = translate_data(vaddr, dispatch)
-                paddr = tr.physical(vaddr)
-                t_mem = dispatch + trans_lat
-            line = paddr >> LS
-            dset = l1d_sets[line & l1d_mask]
-            blk = dset.get(line)
-            if flag & LOAD:
-                if blk is not None and l1d_fused:
-                    # fused L1D load hit (== Cache.lookup + load's hit arm)
-                    l1d_stats.accesses += 1
-                    l1d_stats.hits += 1
-                    l1d_demand.accesses += 1
-                    l1d_demand.hits += 1
-                    l1d_pol._tick = p_k = l1d_pol._tick + 1
-                    blk.lru = p_k
-                    del dset[line]
-                    dset[line] = blk
-                    if blk.prefetched and blk.hits == 0:
-                        l1d.prefetch_useful += 1
-                        if blk.pcb:
-                            l1d.pgc_useful += 1
-                            if l1d_listener is not None:
-                                l1d_listener.on_pcb_hit(line)
-                    blk.hits += 1
-                    if blk.ready > t_mem + l1d_lat:
-                        if blk.prefetched and blk.hits == 1:
-                            l1d.prefetch_late += 1
-                        mlat = blk.ready - t_mem
+                # front end
+                fetch_t += (1 + gap) * fetch_cpi
+                iline = pc >> LS
+                if iline != last_iline:
+                    last_iline = iline
+                    vpn = pc >> S4
+                    entry = itlb_sets[vpn & itlb_mask].get((vpn, S4))
+                    shift = S4
+                    if entry is None:
+                        vpn = pc >> S2
+                        entry = itlb_sets[vpn & itlb_mask].get((vpn, S2))
+                        shift = S2
+                    if entry is not None:
+                        # fused iTLB hit (== Tlb.lookup's hit arm)
+                        itlb._tick = t_k = itlb._tick + 1
+                        itlb_stats.accesses += 1
+                        itlb_stats.hits += 1
+                        entry[1] = t_k
+                        if entry[2]:
+                            itlb.prefetch_hits += 1
+                            entry[2] = False
+                        ilat = itlb_lat_f
+                        ibase = (entry[0] << shift) | (pc & ((1 << shift) - 1))
+                        itr_shift = shift
                     else:
-                        mlat = l1d_lat_f
-                    complete = t_mem + mlat
-                    last_load_complete = complete
-                    hit = True
-                else:
-                    mlat, hit = mem_load(paddr, t_mem)
-                    complete = t_mem + mlat
-                    last_load_complete = complete
-                    if not hit:
-                        policy_on_demand_miss(vaddr >> LS)
-                        pf_on_fill(vaddr, mlat)
-                        if l2pf is not None:
-                            for l2line in l2pf.on_access(paddr >> LS, t_mem):
-                                prefetch_l2(l2line << LS, t_mem)
-            else:
-                if blk is not None and l1d_fused:
-                    # fused L1D store hit (== Cache.lookup + store's hit arm)
-                    l1d_stats.accesses += 1
-                    l1d_stats.hits += 1
-                    l1d_demand.accesses += 1
-                    l1d_demand.hits += 1
-                    l1d_pol._tick = p_k = l1d_pol._tick + 1
-                    blk.lru = p_k
-                    del dset[line]
-                    dset[line] = blk
-                    if blk.prefetched and blk.hits == 0:
-                        l1d.prefetch_useful += 1
-                        if blk.pcb:
-                            l1d.pgc_useful += 1
-                            if l1d_listener is not None:
-                                l1d_listener.on_pcb_hit(line)
-                    blk.hits += 1
-                    blk.dirty = True
-                    complete = t_mem + l1d_lat_f
-                else:
-                    complete = t_mem + mem_store(paddr, t_mem)
-                hit = True
-            # fused FeatureContext.update (move-to-end seen-page LRU)
-            fctx._seen_tick = f_tick = fctx._seen_tick + 1
-            page = vaddr >> S4
-            if page in fctx_seen:
-                fctx.first_page_access = False
-                del fctx_seen[page]
-            else:
-                fctx.first_page_access = True
-                if len(fctx_seen) >= fctx_cap:
-                    del fctx_seen[next(iter(fctx_seen))]
-            fctx_seen[page] = f_tick
-            fctx_ph[2] = fctx_ph[1]
-            fctx_ph[1] = fctx_ph[0]
-            fctx_ph[0] = pc
-            fctx_vh[2] = fctx_vh[1]
-            fctx_vh[1] = fctx_vh[0]
-            fctx_vh[0] = vaddr
-            fctx.last_pc = pc
-            fctx.last_vaddr = vaddr
-            if replay:
-                # recorded candidates: an in-page target issues inline (==
-                # the dispatch's step-A arm); a page-cross one becomes a
-                # request for the dispatch, in the recorded order
-                c_hi = s_ends[mem_k]
-                mem_k += 1
-                if c_hi != c_lo:
-                    if tr is None:
-                        pf_base = tr_pfn << tr_shift
-                        pf_mask = (1 << tr_shift) - 1
+                        # side-effect-free probe missed: the full path records it
+                        ilat, itr = translate_instr(pc, fetch_t)
+                        ibase = itr.physical(pc)
+                        itr_shift = itr.page_shift
+                    t_i = fetch_t + ilat
+                    fline = ibase >> LS
+                    iset = l1i_sets[fline & l1i_mask]
+                    blk = iset.get(fline)
+                    if blk is not None and l1i_fused:
+                        # fused L1I hit (== Cache.lookup + ifetch's hit arm)
+                        l1i_stats.accesses += 1
+                        l1i_stats.hits += 1
+                        l1i_demand.accesses += 1
+                        l1i_demand.hits += 1
+                        l1i_pol._tick = p_k = l1i_pol._tick + 1
+                        blk.lru = p_k
+                        del iset[fline]
+                        iset[fline] = blk
+                        if blk.prefetched and blk.hits == 0:
+                            l1i.prefetch_useful += 1
+                            if blk.pcb:
+                                l1i.pgc_useful += 1
+                                if l1i_listener is not None:
+                                    l1i_listener.on_pcb_hit(fline)
+                        blk.hits += 1
+                        flat = blk.ready - t_i
+                        if flat < l1i_lat_f:
+                            flat = l1i_lat_f
                     else:
-                        pf_base = tr.pfn << tr.page_shift
-                        pf_mask = tr.page_bytes - 1
-                    for j in range(c_lo, c_hi):
-                        target = s_targets[j]
-                        if (target >> S4) == page:
-                            pf_paddr = pf_base | (target & pf_mask)
-                            pline = pf_paddr >> LS
-                            if l1d_sets[pline & l1d_mask].get(pline) is None:
-                                prefetch_l1d(pf_paddr, t_mem)
+                        flat = mem_ifetch(ibase, t_i)
+                    penalty = (ilat - itlb_lat) + (flat - l1i_lat)
+                    if penalty > 0:
+                        fetch_t += penalty
+                    if l1i_nl_fused:
+                        # fused next-line I-prefetcher (== on_fetch, degree 2);
+                        # prefetch_l1i returns without side effects on a resident
+                        # line, so probing here skips the call entirely
+                        if fline != l1i_pf._last_line:
+                            l1i_pf._last_line = fline
+                            nline = fline + 1
+                            if l1i_sets[nline & l1i_mask].get(nline) is None:
+                                prefetch_l1i(nline << LS, fetch_t)
+                            nline = fline + 2
+                            if l1i_sets[nline & l1i_mask].get(nline) is None:
+                                prefetch_l1i(nline << LS, fetch_t)
+                    else:
+                        for target_line in l1i_pf_on_fetch(fline):
+                            prefetch_l1i(target_line << LS, fetch_t)
+                    extra_lines = (gap * 4) >> LS
+                    if extra_lines:
+                        page_mask = (1 << itr_shift) - 1
+                        frame_left = (page_mask - (ibase & page_mask)) >> LS
+                        if extra_lines > frame_left:
+                            extra_lines = frame_left
+                        if extra_lines > 8:
+                            extra_lines = 8
+                        for k in range(1, extra_lines + 1):
+                            flat = mem_ifetch(ibase + (k << LS), fetch_t)
+                            if flat > l1i_lat:
+                                fetch_t += flat - l1i_lat
+
+                # dispatch: ROB occupancy constraint
+                limit = n - rob_entries
+                while rob_q and rob_q[0][0] <= limit:
+                    rob_head_retire = rob_popleft()[1]
+                dispatch = fetch_t
+                if rob_head_retire > dispatch:
+                    blocked_from = dispatch if dispatch > rob_block_end else rob_block_end
+                    if rob_head_retire > blocked_from:
+                        rob_stall += rob_head_retire - blocked_from
+                        rob_block_end = rob_head_retire
+                    dispatch = rob_head_retire
+                if flag & DEPENDS and last_load_complete > dispatch:
+                    dispatch = last_load_complete
+
+                # memory access
+                if flag & F_MEM:
+                    vpn = vaddr >> S4
+                    entry = dtlb_sets[vpn & dtlb_mask].get((vpn, S4))
+                    shift = S4
+                    if entry is None:
+                        vpn = vaddr >> S2
+                        entry = dtlb_sets[vpn & dtlb_mask].get((vpn, S2))
+                        shift = S2
+                    if entry is not None:
+                        # fused dTLB hit; Translation built lazily below
+                        dtlb._tick = t_k = dtlb._tick + 1
+                        dtlb_stats.accesses += 1
+                        dtlb_stats.hits += 1
+                        entry[1] = t_k
+                        if entry[2]:
+                            dtlb.prefetch_hits += 1
+                            entry[2] = False
+                        tr = None
+                        tr_vpn, tr_pfn, tr_shift = vpn, entry[0], shift
+                        paddr = (tr_pfn << shift) | (vaddr & ((1 << shift) - 1))
+                        t_mem = dispatch + dtlb_lat_f
+                    else:
+                        trans_lat, tr = translate_data(vaddr, dispatch)
+                        paddr = tr.physical(vaddr)
+                        t_mem = dispatch + trans_lat
+                    line = paddr >> LS
+                    dset = l1d_sets[line & l1d_mask]
+                    blk = dset.get(line)
+                    if flag & LOAD:
+                        if blk is not None and l1d_fused:
+                            # fused L1D load hit (== Cache.lookup + load's hit arm)
+                            l1d_stats.accesses += 1
+                            l1d_stats.hits += 1
+                            l1d_demand.accesses += 1
+                            l1d_demand.hits += 1
+                            l1d_pol._tick = p_k = l1d_pol._tick + 1
+                            blk.lru = p_k
+                            del dset[line]
+                            dset[line] = blk
+                            if blk.prefetched and blk.hits == 0:
+                                l1d.prefetch_useful += 1
+                                if blk.pcb:
+                                    l1d.pgc_useful += 1
+                                    if l1d_listener is not None:
+                                        l1d_listener.on_pcb_hit(line)
+                            blk.hits += 1
+                            if blk.ready > t_mem + l1d_lat:
+                                if blk.prefetched and blk.hits == 1:
+                                    l1d.prefetch_late += 1
+                                mlat = blk.ready - t_mem
+                            else:
+                                mlat = l1d_lat_f
+                            complete = t_mem + mlat
+                            last_load_complete = complete
+                            hit = True
                         else:
+                            mlat, hit = mem_load(paddr, t_mem)
+                            complete = t_mem + mlat
+                            last_load_complete = complete
+                            if not hit:
+                                policy_on_demand_miss(vaddr >> LS)
+                                pf_on_fill(vaddr, mlat)
+                                if l2pf is not None:
+                                    for l2line in l2pf.on_access(paddr >> LS, t_mem):
+                                        prefetch_l2(l2line << LS, t_mem)
+                    else:
+                        if blk is not None and l1d_fused:
+                            # fused L1D store hit (== Cache.lookup + store's hit arm)
+                            l1d_stats.accesses += 1
+                            l1d_stats.hits += 1
+                            l1d_demand.accesses += 1
+                            l1d_demand.hits += 1
+                            l1d_pol._tick = p_k = l1d_pol._tick + 1
+                            blk.lru = p_k
+                            del dset[line]
+                            dset[line] = blk
+                            if blk.prefetched and blk.hits == 0:
+                                l1d.prefetch_useful += 1
+                                if blk.pcb:
+                                    l1d.pgc_useful += 1
+                                    if l1d_listener is not None:
+                                        l1d_listener.on_pcb_hit(line)
+                            blk.hits += 1
+                            blk.dirty = True
+                            complete = t_mem + l1d_lat_f
+                        else:
+                            complete = t_mem + mem_store(paddr, t_mem)
+                        hit = True
+                    # fused FeatureContext.update (move-to-end seen-page LRU)
+                    fctx._seen_tick = f_tick = fctx._seen_tick + 1
+                    page = vaddr >> S4
+                    if page in fctx_seen:
+                        fctx.first_page_access = False
+                        del fctx_seen[page]
+                    else:
+                        fctx.first_page_access = True
+                        if len(fctx_seen) >= fctx_cap:
+                            del fctx_seen[next(iter(fctx_seen))]
+                    fctx_seen[page] = f_tick
+                    fctx_ph[2] = fctx_ph[1]
+                    fctx_ph[1] = fctx_ph[0]
+                    fctx_ph[0] = pc
+                    fctx_vh[2] = fctx_vh[1]
+                    fctx_vh[1] = fctx_vh[0]
+                    fctx_vh[0] = vaddr
+                    fctx.last_pc = pc
+                    fctx.last_vaddr = vaddr
+                    if replay:
+                        # recorded candidates: an in-page target issues inline
+                        # (== the dispatch's step-A arm); a page-cross one
+                        # becomes a request for the dispatch, in recorded order
+                        c_hi = s_ends[mem_k]
+                        mem_k += 1
+                        if c_hi != c_lo:
+                            if tr is None:
+                                pf_base = tr_pfn << tr_shift
+                                pf_mask = (1 << tr_shift) - 1
+                            else:
+                                pf_base = tr.pfn << tr.page_shift
+                                pf_mask = tr.page_bytes - 1
+                            for j in range(c_lo, c_hi):
+                                target = s_targets[j]
+                                if (target >> S4) == page:
+                                    pf_paddr = pf_base | (target & pf_mask)
+                                    pline = pf_paddr >> LS
+                                    if l1d_sets[pline & l1d_mask].get(pline) is None:
+                                        prefetch_l1d(pf_paddr, t_mem)
+                                else:
+                                    if tr is None:
+                                        tr = Translation(tr_vpn, tr_pfn, tr_shift)
+                                    dispatch_pf(
+                                        (PrefetchRequest(target, pc, s_deltas[j],
+                                                         s_ranks[j]),),
+                                        vaddr, tr, t_mem, pc)
+                            c_lo = c_hi
+                    else:
+                        requests = pf_on_access(pc, vaddr, hit, t_mem)
+                        if requests:
                             if tr is None:
                                 tr = Translation(tr_vpn, tr_pfn, tr_shift)
-                            dispatch_pf(
-                                (PrefetchRequest(target, pc, s_deltas[j], s_ranks[j]),),
-                                vaddr, tr, t_mem, pc)
-                    c_lo = c_hi
-            else:
-                requests = pf_on_access(pc, vaddr, hit, t_mem)
-                if requests:
-                    if tr is None:
-                        tr = Translation(tr_vpn, tr_pfn, tr_shift)
-                    dispatch_pf(requests, vaddr, tr, t_mem, pc)
-        else:
-            complete = dispatch + 1.0
+                            dispatch_pf(requests, vaddr, tr, t_mem, pc)
+                else:
+                    complete = dispatch + 1.0
 
-        # branch resolution
-        mispredicted = flag & MISPREDICT
-        if flag & BRANCH:
-            if bp_fused:
-                # fused hashed perceptron (== predict_and_train, unrolled
-                # for the default (0, 4, 8, 16, 32) history slices)
-                bpc = pc + 0x3C
-                taken = (flag & TAKEN) != 0
-                ghr = bp.ghr
-                i0 = (bpc ^ (bpc >> 13)) & bp_imask
-                hx = bpc ^ ((ghr & 0xF) * 0x9E3779B1)
-                i1 = (hx ^ (hx >> 13)) & bp_imask
-                hx = bpc ^ ((ghr & 0xFF) * 0x9E3779B1)
-                i2 = (hx ^ (hx >> 13)) & bp_imask
-                hx = bpc ^ ((ghr & 0xFFFF) * 0x9E3779B1)
-                i3 = (hx ^ (hx >> 13)) & bp_imask
-                hx = bpc ^ ((ghr & 0xFFFFFFFF) * 0x9E3779B1)
-                i4 = (hx ^ (hx >> 13)) & bp_imask
-                total = bt0[i0] + bt1[i1] + bt2[i2] + bt3[i3] + bt4[i4]
-                bp.predictions += 1
-                correct = (total >= 0) == taken
-                if not correct:
-                    bp.mispredictions += 1
-                    mispredicted = True
-                if not correct or -bp_thr <= total <= bp_thr:
-                    if taken:
-                        w = bt0[i0]
-                        if w < bp_hi:
-                            bt0[i0] = w + 1
-                        w = bt1[i1]
-                        if w < bp_hi:
-                            bt1[i1] = w + 1
-                        w = bt2[i2]
-                        if w < bp_hi:
-                            bt2[i2] = w + 1
-                        w = bt3[i3]
-                        if w < bp_hi:
-                            bt3[i3] = w + 1
-                        w = bt4[i4]
-                        if w < bp_hi:
-                            bt4[i4] = w + 1
+                # branch resolution
+                mispredicted = flag & MISPREDICT
+                if flag & BRANCH:
+                    if bp_fused:
+                        # fused hashed perceptron (== predict_and_train, unrolled
+                        # for the default (0, 4, 8, 16, 32) history slices)
+                        bpc = pc + 0x3C
+                        taken = (flag & TAKEN) != 0
+                        ghr = bp.ghr
+                        i0 = (bpc ^ (bpc >> 13)) & bp_imask
+                        hx = bpc ^ ((ghr & 0xF) * 0x9E3779B1)
+                        i1 = (hx ^ (hx >> 13)) & bp_imask
+                        hx = bpc ^ ((ghr & 0xFF) * 0x9E3779B1)
+                        i2 = (hx ^ (hx >> 13)) & bp_imask
+                        hx = bpc ^ ((ghr & 0xFFFF) * 0x9E3779B1)
+                        i3 = (hx ^ (hx >> 13)) & bp_imask
+                        hx = bpc ^ ((ghr & 0xFFFFFFFF) * 0x9E3779B1)
+                        i4 = (hx ^ (hx >> 13)) & bp_imask
+                        total = bt0[i0] + bt1[i1] + bt2[i2] + bt3[i3] + bt4[i4]
+                        bp.predictions += 1
+                        correct = (total >= 0) == taken
+                        if not correct:
+                            bp.mispredictions += 1
+                            mispredicted = True
+                        if not correct or -bp_thr <= total <= bp_thr:
+                            if taken:
+                                w = bt0[i0]
+                                if w < bp_hi:
+                                    bt0[i0] = w + 1
+                                w = bt1[i1]
+                                if w < bp_hi:
+                                    bt1[i1] = w + 1
+                                w = bt2[i2]
+                                if w < bp_hi:
+                                    bt2[i2] = w + 1
+                                w = bt3[i3]
+                                if w < bp_hi:
+                                    bt3[i3] = w + 1
+                                w = bt4[i4]
+                                if w < bp_hi:
+                                    bt4[i4] = w + 1
+                            else:
+                                w = bt0[i0]
+                                if w > bp_lo:
+                                    bt0[i0] = w - 1
+                                w = bt1[i1]
+                                if w > bp_lo:
+                                    bt1[i1] = w - 1
+                                w = bt2[i2]
+                                if w > bp_lo:
+                                    bt2[i2] = w - 1
+                                w = bt3[i3]
+                                if w > bp_lo:
+                                    bt3[i3] = w - 1
+                                w = bt4[i4]
+                                if w > bp_lo:
+                                    bt4[i4] = w - 1
+                        bp.ghr = ((ghr << 1) | taken) & 0xFFFFFFFFFFFFFFFF
                     else:
-                        w = bt0[i0]
-                        if w > bp_lo:
-                            bt0[i0] = w - 1
-                        w = bt1[i1]
-                        if w > bp_lo:
-                            bt1[i1] = w - 1
-                        w = bt2[i2]
-                        if w > bp_lo:
-                            bt2[i2] = w - 1
-                        w = bt3[i3]
-                        if w > bp_lo:
-                            bt3[i3] = w - 1
-                        w = bt4[i4]
-                        if w > bp_lo:
-                            bt4[i4] = w - 1
-                bp.ghr = ((ghr << 1) | taken) & 0xFFFFFFFFFFFFFFFF
+                        correct = bp_predict(pc + 0x3C, bool(flag & TAKEN))
+                        if not correct:
+                            mispredicted = True
+                if mispredicted:
+                    resolve_at = complete if flag & DEPENDS else dispatch + 8.0
+                    resolve = resolve_at + mispredict_penalty
+                    if resolve > fetch_t:
+                        fetch_t = resolve
+
+                # in-order retirement
+                retire = retire_t + (1 + gap) * retire_cpi
+                if complete > retire:
+                    retire = complete
+                retire_t = retire
+                rob_append((n, retire))
+
+                if n >= next_epoch:
+                    # epoch rollover, inline (== the tail of step()): flush the
+                    # hoisted scalars the epoch hooks may read, fire _end_epoch
+                    # (threshold/policy on_epoch feed, epoch_listener tick), then
+                    # reload in case a listener advanced the engine
+                    engine.instructions = instructions
+                    engine.fetch_t = fetch_t
+                    engine.retire_t = retire_t
+                    engine._rob_head_retire = rob_head_retire
+                    engine._rob_block_end = rob_block_end
+                    engine.rob_stall_cycles = rob_stall
+                    engine._last_load_complete = last_load_complete
+                    engine._last_iline = last_iline
+                    end_epoch()
+                    instructions = engine.instructions
+                    fetch_t = engine.fetch_t
+                    retire_t = engine.retire_t
+                    rob_head_retire = engine._rob_head_retire
+                    rob_block_end = engine._rob_block_end
+                    rob_stall = engine.rob_stall_cycles
+                    last_load_complete = engine._last_load_complete
+                    last_iline = engine._last_iline
+                    next_epoch = engine._next_epoch
+
+                # warm-up / finish boundary (the generator loops' per-record
+                # checks, in the same order)
+                if instructions >= boundary:
+                    if not measuring:
+                        engine.instructions = instructions
+                        engine.fetch_t = fetch_t
+                        engine.retire_t = retire_t
+                        engine._rob_head_retire = rob_head_retire
+                        engine._rob_block_end = rob_block_end
+                        engine.rob_stall_cycles = rob_stall
+                        engine._last_load_complete = last_load_complete
+                        engine._last_iline = last_iline
+                        # attribute lookup on purpose: an InvariantChecker
+                        # wraps engine.begin_measurement at attach time
+                        engine.begin_measurement()
+                        measuring = True
+                        boundary = instructions + sim_limit
+                    if instructions >= boundary:
+                        # measured region complete: flush so the caller can
+                        # collect the result; a resumed core replays from
+                        # the record source the caller sends back
+                        engine.instructions = instructions
+                        engine.fetch_t = fetch_t
+                        engine.retire_t = retire_t
+                        engine._rob_head_retire = rob_head_retire
+                        engine._rob_block_end = rob_block_end
+                        engine.rob_stall_cycles = rob_stall
+                        engine._last_load_complete = last_load_complete
+                        engine._last_iline = last_iline
+                        records = yield ("finish", retire_t)
+                        boundary = _INF
+                        if retire_t > yield_above:
+                            bound_t, bound_i = yield ("bound", retire_t)
+                            yield_above = (bound_t if bound_i > core
+                                           else nextafter(bound_t, _NEG_INF))
+                        break
+
+                # scheduling bound: (retire_t, core) vs the heap's next entry
+                if retire_t > yield_above:
+                    bound_t, bound_i = yield ("bound", retire_t)
+                    yield_above = bound_t if bound_i > core else nextafter(bound_t, _NEG_INF)
             else:
-                correct = bp_predict(pc + 0x3C, bool(flag & TAKEN))
-                if not correct:
-                    mispredicted = True
-        if mispredicted:
-            resolve_at = complete if flag & DEPENDS else dispatch + 8.0
-            resolve = resolve_at + mispredict_penalty
-            if resolve > fetch_t:
-                fetch_t = resolve
+                # the record source ran out: the caller raises (single core)
+                # or sends the next pass (a mix core wraps)
+                records = yield ("end", measuring)
+    finally:
+        engine.instructions = instructions
+        engine.fetch_t = fetch_t
+        engine.retire_t = retire_t
+        engine._rob_head_retire = rob_head_retire
+        engine._rob_block_end = rob_block_end
+        engine.rob_stall_cycles = rob_stall
+        engine._last_load_complete = last_load_complete
+        engine._last_iline = last_iline
 
-        # in-order retirement
-        retire = retire_t + (1 + gap) * retire_cpi
-        if complete > retire:
-            retire = complete
-        retire_t = retire
-        rob_append((n, retire))
 
-        if n >= next_epoch:
-            # epoch rollover, inline (== the tail of step()): flush the
-            # hoisted scalars the epoch hooks may read, fire _end_epoch
-            # (threshold/policy on_epoch feed, epoch_listener tick), then
-            # reload in case a listener advanced the engine
-            engine.instructions = instructions
-            engine.fetch_t = fetch_t
-            engine.retire_t = retire_t
-            engine._rob_head_retire = rob_head_retire
-            engine._rob_block_end = rob_block_end
-            engine.rob_stall_cycles = rob_stall
-            engine._last_load_complete = last_load_complete
-            engine._last_iline = last_iline
-            end_epoch()
-            instructions = engine.instructions
-            fetch_t = engine.fetch_t
-            retire_t = engine.retire_t
-            rob_head_retire = engine._rob_head_retire
-            rob_block_end = engine._rob_block_end
-            rob_stall = engine.rob_stall_cycles
-            last_load_complete = engine._last_load_complete
-            last_iline = engine._last_iline
-            next_epoch = engine._next_epoch
+def _raise_if_truncated(engine: CoreEngine, packed: PackedTrace, measuring: bool,
+                        warm_limit: int, sim_limit: int) -> None:
+    if not measuring:
+        raise ValueError(
+            f"workload {packed.name!r} ended after {engine.instructions} instructions, "
+            f"before the {warm_limit}-instruction warm-up completed"
+        )
+    if engine.measured_instructions < sim_limit:
+        raise ValueError(
+            f"workload {packed.name!r} ended after {engine.instructions} instructions, "
+            f"truncating the measured region to "
+            f"{engine.measured_instructions} of the requested "
+            f"{sim_limit} instructions"
+        )
 
-        # warm-up / measurement boundary (same ordering as drive())
-        if instructions >= threshold:
-            if measuring:
-                break
-            engine.instructions = instructions
-            engine.fetch_t = fetch_t
-            engine.retire_t = retire_t
-            engine._rob_head_retire = rob_head_retire
-            engine._rob_block_end = rob_block_end
-            engine.rob_stall_cycles = rob_stall
-            engine._last_load_complete = last_load_complete
-            engine._last_iline = last_iline
+
+def _drive_stepwise(engine: CoreEngine, packed: PackedTrace, warm_limit: int,
+                    sim_limit: int) -> float:
+    """Packed records through the full step() — used when a probe is attached."""
+    step = engine.step
+    measuring = False
+    wall_start = perf_counter()
+    for pc, vaddr, flags, gap in packed.records():
+        step(pc, vaddr, flags, gap)
+        if not measuring and engine.instructions >= warm_limit:
             engine.begin_measurement()
             measuring = True
-            measure_start = instructions
-            threshold = measure_start + sim_limit
-            if instructions >= threshold:
-                break
+        if measuring and engine.measured_instructions >= sim_limit:
+            break
     wall_seconds = perf_counter() - wall_start
-
-    engine.instructions = instructions
-    engine.fetch_t = fetch_t
-    engine.retire_t = retire_t
-    engine._rob_head_retire = rob_head_retire
-    engine._rob_block_end = rob_block_end
-    engine.rob_stall_cycles = rob_stall
-    engine._last_load_complete = last_load_complete
-    engine._last_iline = last_iline
     _raise_if_truncated(engine, packed, measuring, warm_limit, sim_limit)
+    return wall_seconds
+
+
+def drive_packed(engine: CoreEngine, packed: PackedTrace, config,
+                 stream: Optional[PrefetchStream] = None) -> float:
+    """Feed a packed trace through a built engine (warm-up + measured region).
+
+    Returns wall-clock seconds spent, like :func:`repro.cpu.simulator.drive`;
+    raises the same :class:`ValueError` on an incomplete warm-up or a
+    truncated measured region.  Behaviour (every statistic, every timestamp)
+    is identical to driving the same records through ``engine.step``: the
+    drive is one :func:`core_stepper` run under an unbounded scheduling
+    bound, so it ends at the ``finish`` event, and an ``end`` event (the
+    pack ran out first) raises.
+
+    ``stream`` replays ``packed``'s recorded prefetch candidates in place of
+    calling the engine's prefetcher.  It is only sound when the engine is
+    fresh, drives the pack from its first record, and its prefetcher is a
+    factory-built instance of the replayable class the stream was recorded
+    from — :func:`repro.cpu.simulator.simulate` checks exactly that.
+    """
+    warm_limit = config.warmup_instructions
+    sim_limit = config.sim_instructions
+    if engine.probe is not None:
+        # profiled run: fusion would bypass the probe's timed seams
+        count_drive("stepwise")
+        return _drive_stepwise(engine, packed, warm_limit, sim_limit)
+    count_drive("fused", replayed=stream is not None)
+    stepper = core_stepper(engine, packed.records(), warm_limit, sim_limit, 0, stream)
+    next(stepper)  # run the hoists
+    wall_start = perf_counter()
+    event, payload = stepper.send(_UNBOUNDED)
+    wall_seconds = perf_counter() - wall_start
+    stepper.close()  # flush the timeline scalars back to the engine
+    if event == "end":
+        _raise_if_truncated(engine, packed, payload, warm_limit, sim_limit)
     return wall_seconds

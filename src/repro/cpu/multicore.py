@@ -17,29 +17,31 @@ Two drive loops produce bit-identical results:
 * the **generator loop** (the reference implementation) pulls one record at
   a time from each core's live workload generator, exactly as the original
   implementation did;
-* the **packed loop** (``SimConfig(packed=True)`` or
-  ``kernel="vectorized"``) steps each core over the flat columns of its
-  cached :class:`~repro.workloads.packed.PackedTrace` **through the fused
-  fast-path record kernel** (:mod:`repro.cpu.fastpath_mix`) — per-record
-  pattern state machines and RNG draws are paid once per (workload,
-  window) instead of once per mix × policy, and the dominant record case
-  runs at single-core fused speed — and *batches* heap traffic: while the
-  running core's ``(retire_t, index)`` stays strictly below the heap's
-  next entry, popping the heap would return the same core again, so it
-  keeps stepping without touching the heap.  Each core's kernel lives in
-  a generator coroutine, so its hoisted locals survive the switch and a
-  scheduling round-trip costs one ``send``.  Replay restart maps onto the
-  columns as a fresh pass; a replay that outruns the pack (IPC imbalance,
-  e.g. a halved-budget QMM core replaying while full-budget cores catch
-  up) continues on a fresh generator advanced past the packed prefix,
-  because that is precisely the stream the generator loop would be
-  consuming.
+* the **packed loop** (``SimConfig(packed=True)``) steps each core over
+  the flat columns of its cached
+  :class:`~repro.workloads.packed.PackedTrace` **through the fused record
+  kernel** (:func:`repro.cpu.fastpath.core_stepper`, the body single-core
+  packed runs use) — per-record pattern state machines and RNG draws are
+  paid once per (workload, window) instead of once per mix × policy, and
+  the dominant record case runs at single-core fused speed — and
+  *batches* heap traffic: while the running core's ``(retire_t, index)``
+  stays strictly below the heap's next entry, popping the heap would
+  return the same core again, so it keeps stepping without touching the
+  heap.  Each core's stepper is a generator coroutine, so its hoisted
+  locals survive the switch and a scheduling round-trip costs one
+  ``send``.  Replay restart is a fresh pass over the columns; a replay
+  that outruns the pack (IPC imbalance, e.g. a halved-budget QMM core
+  replaying while full-budget cores catch up) continues on a fresh
+  generator advanced past the packed prefix, because that is precisely
+  the stream the generator loop would be consuming
+  (:func:`repro.cpu.fastpath_mix.core_pass`).
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, replace
+from functools import partial
 from time import perf_counter
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -170,13 +172,13 @@ def _drive_mix_packed(
 ) -> list[Optional[SimResult]]:
     """Packed drive loop: fused per-core steppers, batched heap stepping.
 
-    Each core is a resumable :func:`repro.cpu.fastpath_mix.core_stepper` —
-    the fused fast-path record kernel parked in a generator coroutine, so
-    each burst between heap switches runs at fused speed and switching
-    cores costs one ``send``.  Bit-identical to
-    :func:`_drive_mix_generator` by construction:
+    Each core is a resumable :func:`repro.cpu.fastpath.core_stepper` — the
+    fused record kernel parked in a generator coroutine, so each burst
+    between heap switches runs at fused speed and switching cores costs one
+    ``send``.  Bit-identical to :func:`_drive_mix_generator` by
+    construction:
 
-    * the fused record body is the single-core fast path, proven equal to
+    * the fused record body is the single-core one, proven equal to
       ``engine.step`` record-for-record, and the stepper's event placement
       mirrors the generator loop's per-record warm-up/finish checks (a
       complete pack's last record is the record on which the core finishes,
@@ -193,16 +195,19 @@ def _drive_mix_packed(
       than their window) hold the *entire* source stream, so for them a
       plain wrap is the restart, pre- and post-finish alike.
     """
-    from repro.cpu.fastpath_mix import core_stepper
+    from repro.cpu.fastpath import core_stepper
+    from repro.cpu.fastpath_mix import core_pass
     from repro.workloads.packed import get_packed
 
     cores = len(engines)
+    passes = []
     steppers = []
     for i, (engine, workload, (warmup, sim)) in enumerate(
             zip(engines, workloads, budgets)):
-        pack = get_packed(workload, warmup, sim)
-        stepper = core_stepper(engine, pack, workload, warmup, sim, i)
+        new_pass = partial(core_pass, get_packed(workload, warmup, sim), workload)
+        stepper = core_stepper(engine, new_pass(), warmup, sim, i)
         next(stepper)  # run the hoists, park before the first record
+        passes.append(new_pass)
         steppers.append(stepper)
     finished: list[Optional[SimResult]] = [None] * cores
     remaining = cores
@@ -214,18 +219,21 @@ def _drive_mix_packed(
             # every other core sits in the heap, so its smallest entry bounds
             # how far core i may run before the schedule would switch cores
             bound = heap[0] if heap else (_INF, cores)
-            event, t = steppers[i].send(bound)
-            while event == "finish":
-                finished[i] = collect_result(engines[i], workloads[i].name,
-                                             core_configs[i])
-                if checkers is not None:
-                    checkers[i].check_final(engines[i], finished[i])
-                remaining -= 1
-                if not remaining:
-                    return finished
-                # the core replays (same bound still applies); it reports
-                # "bound" itself if the finishing record already crossed it
-                event, t = steppers[i].send(bound)
+            stepper = steppers[i]
+            event, t = stepper.send(bound)
+            while event != "bound":
+                if event == "finish":
+                    finished[i] = collect_result(engines[i], workloads[i].name,
+                                                 core_configs[i])
+                    if checkers is not None:
+                        checkers[i].check_final(engines[i], finished[i])
+                    remaining -= 1
+                    if not remaining:
+                        return finished
+                # a finished core replays and an exhausted one ("end") wraps:
+                # both restart at record 0 under the same bound, and the
+                # stepper reports "bound" itself if its last record crossed it
+                event, t = stepper.send(passes[i]())
             heapq.heappush(heap, (t, i))
     finally:
         # leave every engine's timeline scalars flushed, exactly as a
@@ -244,10 +252,8 @@ def simulate_mix(
     """Run one mix: len(workloads) cores sharing LLC + DRAM.
 
     Honours the same config knobs as :func:`~repro.cpu.simulator.simulate`:
-    ``config.packed`` (or ``kernel="vectorized"``, which implies it) selects
-    the packed mix loop — bit-identical, asserted by
-    :func:`repro.validate.check_mix_packed_matches_generator` — an unknown
-    ``config.kernel`` raises instead of silently falling back, and
+    ``config.packed`` selects the packed mix loop — bit-identical, asserted
+    by :func:`repro.validate.check_mix_packed_matches_generator` — and
     ``config.validate`` attaches one
     :class:`~repro.validate.InvariantChecker` per core (each core's result
     is checked at its own collect point, while the core goes on replaying).
@@ -260,11 +266,6 @@ def simulate_mix(
     instruments and are rejected.
     """
     cores = len(workloads)
-    if config.kernel not in ("fused", "vectorized"):
-        raise ValueError(
-            f"unknown packed kernel tier {config.kernel!r}; "
-            "expected 'fused' or 'vectorized'"
-        )
     if obs is not None and (obs.timeline is not None or obs.probe is not None):
         raise ValueError(
             "timeline/probe instruments are single-core only; pass an "
@@ -294,10 +295,9 @@ def simulate_mix(
         checkers = [InvariantChecker(obs=obs, workload=w.name) for w in workloads]
         for checker, engine in zip(checkers, engines):
             checker.attach(engine)
-    packed = config.packed or config.kernel == "vectorized"
-    mode = "mix-packed" if packed else "mix-generator"
+    mode = "mix-packed" if config.packed else "mix-generator"
     count_drive(mode)
-    drive = _drive_mix_packed if packed else _drive_mix_generator
+    drive = _drive_mix_packed if config.packed else _drive_mix_generator
     wall_start = perf_counter()
     with trace_span("mix-drive", mix=mix_id, cores=cores, mode=mode):
         finished = drive(engines, workloads, budgets, core_configs, checkers)
@@ -321,7 +321,7 @@ def isolation_ipc(
     """IPC of `workload` alone on the multi-core configuration.
 
     Delegates to :func:`~repro.cpu.simulator.simulate`, so the config's
-    ``packed``/``kernel``/``validate`` knobs are honoured the same way a
+    ``packed``/``validate`` knobs are honoured the same way a
     single-core run honours them.
     """
     iso_config = replace(config, params=config.params.scaled_llc(cores))

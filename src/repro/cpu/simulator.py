@@ -36,13 +36,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 PolicyFactory = Callable[[], PageCrossPolicy]
 
 #: one increment per drive-loop entry, labelled by the loop that actually
-#: ran: ``generator`` | ``fused`` | ``stepwise`` | ``vectorized`` (single
-#: core), ``mix-generator`` | ``mix-packed`` (one per mix), and ``sampled``
-#: (one per phase-sampled run, whose stitched segments count as well) — the
+#: ran: ``generator`` | ``fused`` | ``stepwise`` (single core),
+#: ``mix-generator`` | ``mix-packed`` (one per mix), and ``sampled`` (one
+#: per phase-sampled run, whose stitched segments count as well) — the
 #: fast-path-vs-fallback ratio of a grid is readable off the merged metrics
 DRIVES = get_metrics().counter(
     "sim.drives",
-    "drive-loop entries by mode (generator/fused/stepwise/vectorized/"
+    "drive-loop entries by mode (generator/fused/stepwise/"
     "mix-generator/mix-packed/sampled)")
 
 #: one increment per drive loop, labelled by where its L1D prefetch
@@ -78,23 +78,16 @@ class SimConfig:
     #: (conservation laws checked per epoch and at collect time); purely
     #: observational — a validated run produces the same SimResult
     validate: bool = False
-    #: drive through the batched fast path (:mod:`repro.cpu.fastpath`) over a
-    #: cached :class:`~repro.workloads.packed.PackedTrace` instead of the
-    #: per-record generator loop; results are bit-identical either way
+    #: drive through the fused record kernel (:mod:`repro.cpu.fastpath`)
+    #: over a cached :class:`~repro.workloads.packed.PackedTrace` instead of
+    #: the per-record generator loop; results are bit-identical either way
     packed: bool = False
-    #: packed kernel tier: ``"fused"`` (record-at-a-time, PR 4/5),
-    #: ``"vectorized"`` (span-skipping numpy scans,
-    #: :mod:`repro.cpu.fastpath_vec`), or ``"auto"`` (an event-density probe
-    #: over the pack picks the tier expected to win).  Anything but
-    #: ``"fused"`` implies the packed path; results are bit-identical
-    #: across tiers
-    kernel: str = "fused"
     #: phase-sampled simulation (:mod:`repro.experiments.sampling`): profile
     #: the packed trace into phases, simulate one representative interval
     #: per phase, and reconstruct the whole-trace result with bootstrap
     #: confidence bounds.  ``None`` (the default) simulates the full window;
     #: a sampled result is an *approximation* and therefore DOES enter the
-    #: result-cache fingerprint, unlike ``packed``/``kernel``
+    #: result-cache fingerprint, unlike ``packed``
     sampling: Optional["SamplingConfig"] = None
 
 
@@ -355,11 +348,6 @@ def simulate(
     and a violation raises :class:`~repro.validate.InvariantViolation`
     (journaled first when the bundle carries a journal).
     """
-    if config.kernel not in ("fused", "vectorized", "auto"):
-        raise ValueError(
-            f"unknown packed kernel tier {config.kernel!r}; "
-            "expected 'fused', 'vectorized', or 'auto'"
-        )
     if config.sampling is not None:
         # phase-sampled run: profile, cluster, simulate representatives,
         # reconstruct — the sampling module owns spans/metrics/obs for it
@@ -375,30 +363,20 @@ def simulate(
 
         checker = InvariantChecker(obs=obs, workload=workload.name)
         checker.attach(engine)
-    if config.packed or config.kernel != "fused":
+    if config.packed:
+        from repro.cpu.fastpath import drive_packed
         from repro.workloads.packed import get_packed
 
         packed = get_packed(workload, config.warmup_instructions, config.sim_instructions)
         with trace_span("drive", workload=workload.name, mode="packed"):
-            if config.kernel == "vectorized":
-                from repro.cpu.fastpath_vec import drive_packed_vec
-
-                wall_seconds = drive_packed_vec(engine, packed, config)
-            elif config.kernel == "auto":
-                from repro.cpu.fastpath_vec import drive_packed_auto
-
-                wall_seconds = drive_packed_auto(engine, packed, config)
-            else:
-                from repro.cpu.fastpath import drive_packed
-
-                stream = None
-                if engine.probe is None and engine.prefetcher.replayable:
-                    # this fresh engine drives the whole pack with a
-                    # factory-built prefetcher, so its candidates are the
-                    # pack's recorded stream (built by the first such drive)
-                    stream = packed.prefetch_stream(
-                        config.prefetcher, config.prefetcher_extra_storage)
-                wall_seconds = drive_packed(engine, packed, config, stream)
+            stream = None
+            if engine.probe is None and engine.prefetcher.replayable:
+                # this fresh engine drives the whole pack with a
+                # factory-built prefetcher, so its candidates are the
+                # pack's recorded stream (built by the first such drive)
+                stream = packed.prefetch_stream(
+                    config.prefetcher, config.prefetcher_extra_storage)
+            wall_seconds = drive_packed(engine, packed, config, stream)
     else:
         with trace_span("drive", workload=workload.name, mode="generator"):
             wall_seconds = drive(engine, workload, config)

@@ -392,7 +392,6 @@ def fig19_multicore(
     obs=None,
     shm: Optional[bool] = None,
     packed: bool = True,
-    kernel: str = "fused",
     validate: bool = False,
     progress=None,
 ):
@@ -425,7 +424,6 @@ def fig19_multicore(
         warmup_instructions=warmup_instructions,
         sim_instructions=sim_instructions,
         packed=packed,
-        kernel=kernel,
         validate=validate,
     )
     # every distinct workload needs one isolation IPC per policy — on the

@@ -173,7 +173,6 @@ def cell_fingerprint(cell: Cell, workload: Optional[Any] = None) -> str:
     # packed fast path is bit-identical by contract, so it shares them too
     spec_dump.pop("validate", None)
     spec_dump.pop("packed", None)
-    spec_dump.pop("kernel", None)
     # sampling, by contrast, changes the result (a reconstruction, not a
     # bit-identical rerun) and so must stay in the fingerprint when set;
     # popped when None so pre-sampling cache entries remain addressable

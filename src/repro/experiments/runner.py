@@ -69,10 +69,6 @@ class RunSpec:
     #: excluded from the cell fingerprint).  ``packed=False`` keeps the
     #: reference generator loop
     packed: bool = True
-    #: packed kernel tier ("fused", "vectorized", or "auto"); anything but
-    #: "fused" implies the packed path and — being bit-identical — is also
-    #: excluded from the cell fingerprint
-    kernel: str = "fused"
     #: phase-sampled simulation (:mod:`repro.experiments.sampling`); a
     #: sampled result approximates the full window, so — unlike the
     #: bit-identical knobs above — this DOES enter the cell fingerprint
@@ -105,7 +101,6 @@ class RunSpec:
             prefetcher_extra_storage=ISO_STORAGE_BYTES if self.policy.lower().startswith("iso") else 0,
             validate=self.validate,
             packed=self.packed,
-            kernel=self.kernel,
             sampling=self.sampling,
         )
 

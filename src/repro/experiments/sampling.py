@@ -18,12 +18,11 @@ SMARTS/SimPoint tradition adapted to the packed-column store:
    is chosen per phase (closest to the centroid); the phase's weight is the
    instruction mass of its members.
 3. **Simulate** — only the representative intervals run, *stitched in
-   trace order through one engine*: each sub-trace enters the stock packed
-   drive loop (:func:`~repro.cpu.fastpath.drive_packed`, or the
-   vectorized/auto tier per ``config.kernel``) with a short *functional
-   warm-up prefix* as its warm-up region, so measurement starts exactly at
-   the interval boundary.  Because the drive kernels take absolute warm-up
-   limits and ``begin_measurement()`` re-baselines every statistic, the
+   trace order through one engine*: each sub-trace enters the fused record
+   kernel (:func:`~repro.cpu.fastpath.drive_packed`) with a short
+   *functional warm-up prefix* as its warm-up region, so measurement starts
+   exactly at the interval boundary.  Because the kernel takes absolute
+   warm-up limits and ``begin_measurement()`` re-baselines every statistic, the
    engine is resumable: caches, TLBs, predictors and the page-cross policy's
    filter state carry across the skipped spans instead of restarting cold
    (or, worse, artificially small) at every representative.
@@ -332,8 +331,8 @@ def _sub_pack(packed: PackedTrace, first: int, last: int, *,
     """A :class:`PackedTrace` over records ``[first, last)`` of ``packed``.
 
     Column slices are cheap (``array`` slices copy a few hundred KB at most;
-    shm ``memoryview`` slices are zero-copy) and feed the stock drive
-    kernels unchanged.
+    shm ``memoryview`` slices are zero-copy) and feed the fused record
+    kernel unchanged.
     """
     return PackedTrace(
         packed.name, packed.suite,
@@ -342,21 +341,6 @@ def _sub_pack(packed: PackedTrace, first: int, last: int, *,
         warmup=warmup, sim=sim,
         instructions=warmup + sim, complete=True,
     )
-
-
-def _drive_for_kernel(engine, packed: PackedTrace, config: "SimConfig") -> float:
-    """Route one packed drive through the spec'd kernel tier (like simulate)."""
-    if config.kernel == "vectorized":
-        from repro.cpu.fastpath_vec import drive_packed_vec
-
-        return drive_packed_vec(engine, packed, config)
-    if config.kernel == "auto":
-        from repro.cpu.fastpath_vec import drive_packed_auto
-
-        return drive_packed_auto(engine, packed, config)
-    from repro.cpu.fastpath import drive_packed
-
-    return drive_packed(engine, packed, config)
 
 
 def _run_stitched(workload_name: str, packed: PackedTrace, plan: PhasePlan,
@@ -369,7 +353,7 @@ def _run_stitched(workload_name: str, packed: PackedTrace, plan: PhasePlan,
     position, each preceded by a functional warm-up prefix of
     ``warmup_fraction`` times its interval length (never fewer than one
     record, never re-reading records an earlier segment already played).
-    The drive kernels take *absolute* warm-up limits against the engine's
+    The record kernel takes *absolute* warm-up limits against the engine's
     cumulative instruction counter and ``begin_measurement()`` re-baselines
     every statistic, so each segment measures exactly its interval while
     long-range microarchitectural state — cache/TLB footprint, branch
@@ -380,6 +364,7 @@ def _run_stitched(workload_name: str, packed: PackedTrace, plan: PhasePlan,
     """
     import numpy as np
 
+    from repro.cpu.fastpath import drive_packed
     from repro.cpu.simulator import build_engine, collect_result
 
     sampling = config.sampling
@@ -422,7 +407,7 @@ def _run_stitched(workload_name: str, packed: PackedTrace, plan: PhasePlan,
         with trace_span("phase", workload=workload_name, phase=j,
                         representative=rep, weight=phase.instructions,
                         warmup=sub_warm, sim=inst):
-            wall += _drive_for_kernel(engine, sub, sub_config)
+            wall += drive_packed(engine, sub, sub_config)
         result = collect_result(engine, workload_name, sub_config)
         if checker is not None:
             checker.check_final(engine, result)
@@ -528,7 +513,7 @@ def simulate_sampled(
     if sampling is None:
         raise ValueError("simulate_sampled needs config.sampling set")
     # one per *sampled run*; the stitched per-representative drives
-    # additionally count under their kernel's mode (always a live stream)
+    # additionally count under the loop that ran (always a live stream)
     DRIVES.inc(mode="sampled")
     wall_start = perf_counter()
     packed = get_packed(workload, config.warmup_instructions,

@@ -19,9 +19,10 @@ field by field:
 * **epoch invariance** — for epoch-independent policies (discard, permit),
   changing ``epoch_instructions`` must not change any counter: epoch ends
   are bookkeeping, not events;
-* **packed-vs-generator** — driving through the packed-trace fast path
+* **packed-vs-generator** — driving through the fused record kernel
   (``SimConfig(packed=True)``) is bit-identical to the generator drive
-  loop for every fuzz prefetcher under discard and DRIPPER;
+  loop for every fuzz prefetcher under discard and DRIPPER, and for the
+  inert prefetcher (``none``) under discard;
 * **prefetch-replay-vs-live** — a packed drive that replays the pack's
   recorded prefetch-candidate stream equals a packed drive that calls a
   caller-supplied (hence live) prefetcher, for Berti, IPCP and BOP under
@@ -30,10 +31,6 @@ field by field:
   (:func:`repro.cpu.multicore.simulate_mix` with ``packed=True``) equals
   the generator mix loop per core, on a mix whose QMM core (halved
   budgets) finishes early and replays through the overflow seam;
-* **vectorized-vs-fused** — the span-skipping vectorized kernel tier
-  (``SimConfig(kernel="vectorized")``) equals the fused tier across its
-  fallback seams: epoch rollovers mid-span, event-dense windows, runs with
-  an ``epoch_listener`` attached, and non-LRU delegation;
 * **invariants-clean** — every (workload × policy) run passes a full
   :class:`~repro.validate.InvariantChecker` pass with zero violations;
 * **mutation detection** — re-introducing the fixed stale-MSHR bug via
@@ -259,51 +256,32 @@ def check_epoch_invariance(workload_name: str, *, prefetcher: str,
 
 def check_packed_matches_generator(workload_name: str, *, warmup: int,
                                    sim: int) -> list[CheckOutcome]:
-    """The packed fast path equals the generator drive loop bit-for-bit.
+    """The fused record kernel equals the generator drive loop bit-for-bit.
 
     Covers every fuzz prefetcher under both a static policy (discard) and
     the epoch-adaptive one (dripper) — the two exercise disjoint sets of
     fused branches.  DRIPPER additionally runs with a deliberately short
-    epoch so the packed loop's *inline* epoch rollover (it no longer bails
-    to ``step()`` at epoch boundaries) fires many times per measurement
-    window.
+    epoch so the kernel's *inline* epoch rollover fires many times per
+    measurement window.  The inert prefetcher (``none``) runs under
+    discard at both epoch lengths: no other validate cell drives
+    ``NoPrefetcher`` through the kernel.
     """
     workload = by_name(workload_name)
+    cells = [(prefetcher, policy, epoch)
+             for prefetcher in _FUZZ_PREFETCHERS
+             for policy, epoch in (("discard", None), ("dripper", None), ("dripper", 512))]
+    cells += [("none", "discard", None), ("none", "discard", 512)]
     outcomes = []
-    for prefetcher in _FUZZ_PREFETCHERS:
-        for policy, epoch in (("discard", None), ("dripper", None), ("dripper", 512)):
-            spec = _spec(prefetcher, policy, warmup, sim)
-            config = spec.config_for(workload)
-            if epoch is not None:
-                config = replace(config, epoch_instructions=epoch)
-            generator = simulate(workload, config)
-            packed = simulate(workload, replace(config, packed=True))
-            diffs = result_diff(generator, packed)
-            tag = f"{policy}@{epoch}" if epoch is not None else policy
-            name = f"packed-vs-generator[{workload_name}/{prefetcher}/{tag}]"
-            if diffs:
-                outcomes.append(CheckOutcome(name, False, _summarise(diffs)))
-            else:
-                outcomes.append(CheckOutcome(
-                    name, True, f"identical at ipc {generator.ipc:.3f}"
-                ))
-    # vectorized tier against the generator: engaged (span-skipping) for the
-    # no-prefetcher cells, delegating to the fused kernel for real
-    # prefetchers — bit-identical either way
-    for prefetcher, policy, epoch in (
-        ("none", "discard", None),
-        ("none", "discard", 512),
-        (_FUZZ_PREFETCHERS[0], "discard", None),
-    ):
+    for prefetcher, policy, epoch in cells:
         spec = _spec(prefetcher, policy, warmup, sim)
         config = spec.config_for(workload)
         if epoch is not None:
             config = replace(config, epoch_instructions=epoch)
         generator = simulate(workload, config)
-        vectorized = simulate(workload, replace(config, kernel="vectorized"))
-        diffs = result_diff(generator, vectorized)
+        packed = simulate(workload, replace(config, packed=True))
+        diffs = result_diff(generator, packed)
         tag = f"{policy}@{epoch}" if epoch is not None else policy
-        name = f"vectorized-vs-generator[{workload_name}/{prefetcher}/{tag}]"
+        name = f"packed-vs-generator[{workload_name}/{prefetcher}/{tag}]"
         if diffs:
             outcomes.append(CheckOutcome(name, False, _summarise(diffs)))
         else:
@@ -388,67 +366,6 @@ def check_prefetch_replay_matches_live(workload_names: Sequence[str], *, warmup:
         ok = counted["replayed"] == 0 and counted["live"] >= 1
         outcomes.append(CheckOutcome(
             f"prefetch-stream-live-only[{kind}]", ok, f"counted {counted}"))
-    return outcomes
-
-
-def check_vectorized_matches_fused(workload_name: str, *, warmup: int,
-                                   sim: int) -> list[CheckOutcome]:
-    """The vectorized tier equals the fused tier across its fallback seams.
-
-    Each cell targets one seam of :mod:`repro.cpu.fastpath_vec`:
-
-    * hit-dominated kernels where nearly every window is one long span
-      (``hot_0``), including a deliberately short epoch so spans run
-      *across* many rollovers (the deferred-epoch segment commit);
-    * a branchy kernel (``hot_3``) whose taken branches pepper the windows
-      with events, exercising the event-run stepping between spans;
-    * the caller's workload — miss-heavy, so spans are short and the
-      residency proofs keep failing over to stepping;
-    * ``validate=True``, which chains an ``epoch_listener`` onto the engine
-      — spans must clip at epoch boundaries and the residency-proof caches
-      must drop after every rollover (and the invariant checker audits the
-      run for free);
-    * a non-LRU replacement policy, which fails the capability probe and
-      must delegate to the fused tier untouched.
-    """
-    outcomes = []
-    cells: list[tuple[str, str, str, dict[str, Any]]] = [
-        ("hot_0", "none", "discard", {}),
-        ("hot_0", "none", "discard", {"epoch_instructions": 512}),
-        ("hot_3", "none", "permit", {}),
-        (workload_name, "none", "discard", {}),
-        ("hot_0", "none", "discard", {"validate": True}),
-    ]
-    for wname, prefetcher, policy, overrides in cells:
-        workload = by_name(wname)
-        config = _spec(prefetcher, policy, warmup, sim).config_for(workload)
-        config = replace(config, packed=True, **overrides)
-        fused = simulate(workload, config)
-        vectorized = simulate(workload, replace(config, kernel="vectorized"))
-        diffs = result_diff(fused, vectorized)
-        tag = "/".join(f"{k}={v}" for k, v in overrides.items()) or "default"
-        name = f"vectorized-vs-fused[{wname}/{policy}/{tag}]"
-        if diffs:
-            outcomes.append(CheckOutcome(name, False, _summarise(diffs)))
-        else:
-            outcomes.append(CheckOutcome(
-                name, True, f"identical at ipc {fused.ipc:.3f}"
-            ))
-    # non-LRU replacement: the capability probe must reject and delegate
-    workload = by_name("hot_0")
-    srrip = replace(DEFAULT_PARAMS, l1d=replace(DEFAULT_PARAMS.l1d, replacement="srrip"))
-    config = replace(_spec("none", "discard", warmup, sim).config_for(workload),
-                     packed=True, params=srrip)
-    fused = simulate(workload, config)
-    vectorized = simulate(workload, replace(config, kernel="vectorized"))
-    diffs = result_diff(fused, vectorized)
-    name = "vectorized-vs-fused[hot_0/discard/srrip-delegates]"
-    if diffs:
-        outcomes.append(CheckOutcome(name, False, _summarise(diffs)))
-    else:
-        outcomes.append(CheckOutcome(
-            name, True, f"identical at ipc {fused.ipc:.3f}"
-        ))
     return outcomes
 
 
@@ -682,8 +599,6 @@ def run_validation_suite(
     record(check_epoch_invariance(anchor, prefetcher=prefetcher,
                                   warmup=warmup, sim=sim))
     for outcome in check_packed_matches_generator(anchor, warmup=warmup, sim=sim):
-        record(outcome)
-    for outcome in check_vectorized_matches_fused(anchor, warmup=warmup, sim=sim):
         record(outcome)
     for outcome in check_prefetch_replay_matches_live(workload_names, warmup=warmup,
                                                       sim=sim):

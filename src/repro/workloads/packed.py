@@ -72,20 +72,22 @@ _CACHE_CAPACITY = _capacity_from_env()
 
 
 class PackIndex:
-    """Derived per-record arrays the vectorized drive kernel scans.
+    """Derived per-record columns the phase-sampling profile reads.
 
-    Built once per pack (lazily, on the first vectorized drive) from the
-    numpy column views — epoch/boundary positions come from the cumulative
-    instruction counts, I-line runs from the pc column, and the event mask
-    flags every record the span predicate can never clear by inspection
-    alone (branches, forced mispredicts, dependent loads, non-memory
-    records, and gaps large enough to trigger straight-line I-fetch).  All
-    integer arrays are ``int64`` so downstream arithmetic never hits
-    numpy's uint64/int64 promotion rules.
+    Built once per pack (lazily, on the first sampled run) from the numpy
+    column views: interval boundaries come from the cumulative instruction
+    counts, and :func:`repro.experiments.sampling.signatures` reduces the
+    rest into per-interval rates — I-line runs from the pc column, page and
+    line changes from the vaddr column, the load/store mix, and an event
+    mask flagging records that leave the fused kernel's plain hit path by
+    their flags or gap alone (branches, forced mispredicts, dependent
+    loads, non-memory records, and gaps large enough to trigger
+    straight-line I-fetch).  All integer arrays are ``int64`` so downstream
+    arithmetic never hits numpy's uint64/int64 promotion rules.
     """
 
     __slots__ = ("cum", "iline", "change", "vpage", "vline", "event",
-                 "isload", "isstore", "weight")
+                 "isload", "isstore")
 
     def __init__(self, packed: "PackedTrace"):
         import numpy as np
@@ -105,9 +107,9 @@ class PackIndex:
             change[0] = True
             change[1:] = self.iline[1:] != self.iline[:-1]
         self.change = change
-        #: records the span predicate must hand to the slow path regardless
-        #: of cache/TLB state: branch/mispredict/dependent flags, non-memory
-        #: records, and gaps >= 16 (``(gap*4)>>6`` straight-line I-fetch)
+        #: records that leave the plain hit path regardless of cache/TLB
+        #: state: branch/mispredict/dependent flags, non-memory records, and
+        #: gaps >= 16 (``(gap*4)>>6`` straight-line I-fetch)
         self.event = (
             ((fl & (BRANCH | MISPREDICT | DEPENDS)) != 0)
             | ((fl & (LOAD | STORE)) == 0)
@@ -115,9 +117,6 @@ class PackIndex:
         )
         self.isload = (fl & LOAD) != 0
         self.isstore = (fl & STORE) != 0
-        #: per-record instruction weight (1 + gap) as float64; the drive
-        #: kernel multiplies by the engine's fetch/retire CPI per window
-        self.weight = (1 + g).astype(np.float64)
 
 
 def _narrowest(values: array) -> array:
@@ -201,7 +200,7 @@ class PackedTrace:
         #: False when the source trace ended before the window was covered
         #: (finite trace shorter than warm-up + measured region)
         self.complete = complete
-        #: lazily built numpy column views / vectorization index
+        #: lazily built numpy column views / sampling-profile index
         self._views = None
         self._index = None
         #: lazily built prefetch-candidate streams, keyed by

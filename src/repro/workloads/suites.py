@@ -386,37 +386,6 @@ def qmm(kind: str, index: int) -> SyntheticWorkload:
 # ---------------------------------------------------------------------------
 # non-intensive workloads (LLC MPKI < 1): small footprints, sparse memory ops
 
-def kernel(index: int) -> SyntheticWorkload:
-    """A hit-dominated kernel workload (the vectorized tier's home turf).
-
-    L1-resident footprints like the CALM set, but with *small* gaps (the
-    CALM mean gaps of 10-18 draw gap >= 16 on ~a quarter of records, each
-    of which triggers straight-line I-fetch and so bounds an uneventful
-    span) and no forced mispredicts.  Every fourth workload carries a loop
-    branch profile — branches on every record — as the event-dense
-    counterpoint for the differential seams.
-    """
-    kind = index % 3
-    if kind == 0:
-        factory = bind(Stream, 0, stride_lines=1,
-                       footprint_pages=6 if index % 2 else 8)
-    elif kind == 1:
-        factory = bind(PageTiled, 0, footprint_pages=4, burst_lines=32)
-    else:
-        factory = bind(Gather, 0, footprint_pages=2)
-    branches = ("loop", 32 if index % 8 < 4 else 64) if index % 4 == 3 else None
-    return SyntheticWorkload(
-        f"hot_{index}",
-        "KERNEL",
-        index * 577 + 29,
-        [(factory, _ONE_PHASE)],
-        mean_gap=2.0 if index % 2 else 3.0,
-        code_lines=32 if kind == 0 else 48,
-        mispredict_rate=0.0,
-        branch_profile=branches,
-    )
-
-
 def non_intensive(index: int) -> SyntheticWorkload:
     """A non-memory-intensive workload (LLC MPKI ~ 0; Section V-B9)."""
     rng = random.Random(index * 397 + 1)

@@ -107,13 +107,12 @@ def figures():
 @pytest.mark.parametrize("run", [
     astar(),
     packed_with_replay,
-    astar(kernel="vectorized"),
     astar(sampling=SamplingConfig(intervals=16, phases=4)),
     astar(validate=True),
     observed,
     mix,
     figures,
-], ids=["generator", "packed-replay", "vectorized", "sampled", "validate",
+], ids=["generator", "packed-replay", "sampled", "validate",
         "obs-timeline-probe", "simulate-mix", "figures"])
 def test_no_cyclic_garbage(no_collector, run):
     assert cyclic_garbage(run) == 0

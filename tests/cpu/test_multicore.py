@@ -14,6 +14,7 @@ from repro.cpu.multicore import (
 from repro.cpu.simulator import SimConfig, simulate
 from repro.workloads.patterns import Gather, Stream
 from repro.workloads.synthetic import SyntheticWorkload
+from repro.workloads.trace import LOAD, STORE
 
 
 def workload(name, seed, pattern=Stream, **kwargs):
@@ -22,6 +23,20 @@ def workload(name, seed, pattern=Stream, **kwargs):
         [(lambda: pattern(0, **kwargs), 1 << 30)],
         mean_gap=2.0,
     )
+
+
+class FiniteTrace:
+    """A finite trace of ``records`` records (about three instructions each)."""
+
+    def __init__(self, name, records, suite="TEST"):
+        self.name = name
+        self.records = records
+        self.suite = suite
+
+    def generate(self):
+        for i in range(self.records):
+            yield (0x400 + (i % 16) * 4, 0x10000 + (i * 192) % (1 << 16),
+                   STORE if i % 3 == 0 else LOAD, i % 5)
 
 
 def quick_config():
@@ -95,12 +110,7 @@ def qmm_workload(name="qmmish", seed=5):
 
 
 class TestConfigKnobs:
-    """simulate_mix used to silently ignore kernel/packed/validate."""
-
-    def test_unknown_kernel_rejected(self):
-        mix = [workload(f"w{i}", i + 1, footprint_pages=128) for i in range(2)]
-        with pytest.raises(ValueError, match="unknown packed kernel tier"):
-            simulate_mix(mix, replace(quick_config(), kernel="bogus"))
+    """simulate_mix used to silently ignore packed/validate."""
 
     def test_packed_matches_generator(self):
         # include a QMM core: its halved budget makes it finish early and
@@ -112,20 +122,19 @@ class TestConfigKnobs:
         for a, b in zip(generator.results, packed.results):
             assert a == b
 
-    def test_vectorized_kernel_implies_packed(self, monkeypatch):
-        import repro.cpu.multicore as mc
-
-        calls = []
-        real = mc._drive_mix_packed
-
-        def spy(*args, **kwargs):
-            calls.append(True)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(mc, "_drive_mix_packed", spy)
-        mix = [workload(f"w{i}", i + 1, footprint_pages=128) for i in range(2)]
-        result = simulate_mix(mix, replace(quick_config(), kernel="vectorized"))
-        assert calls and len(result.results) == 2
+    def test_packed_matches_generator_on_finite_traces(self):
+        # the 5k-instruction window outlasts "short", so its pack is
+        # incomplete and it wraps before finishing; "long" (a QMM core, so
+        # a halved window) finishes inside its pack, then replays through a
+        # short overflow tail and wraps when that ends too, while the
+        # miss-heavy cores catch up — both wraps answer the "end" event
+        mix = [FiniteTrace("short", 1_500), FiniteTrace("long", 900, "QMM_INT"),
+               *(workload(f"gather{i}", i + 1, Gather, footprint_pages=4096)
+                 for i in range(2))]
+        generator = simulate_mix(mix, quick_config())
+        packed = simulate_mix(mix, replace(quick_config(), packed=True))
+        for a, b in zip(generator.results, packed.results):
+            assert a == b
 
     def test_validate_attaches_checker_per_core(self, monkeypatch):
         from repro.validate import InvariantChecker

@@ -23,13 +23,19 @@ class FiniteWorkload:
 
 
 class TestShortTraces:
-    def test_trace_shorter_than_warmup_raises(self):
-        config = SimConfig(policy_factory=DiscardPgc, warmup_instructions=1_000, sim_instructions=1_000)
+    # the packed path drives an incomplete pack: the kernel reports the end
+    # of its records and the single-core driver raises the same errors
+    @pytest.mark.parametrize("packed", [False, True], ids=["generator", "packed"])
+    def test_trace_shorter_than_warmup_raises(self, packed):
+        config = SimConfig(policy_factory=DiscardPgc, warmup_instructions=1_000,
+                           sim_instructions=1_000, packed=packed)
         with pytest.raises(ValueError, match="before the .* warm-up"):
             simulate(FiniteWorkload(100), config)
 
-    def test_trace_ending_mid_measurement_raises(self):
-        config = SimConfig(policy_factory=DiscardPgc, warmup_instructions=100, sim_instructions=10_000)
+    @pytest.mark.parametrize("packed", [False, True], ids=["generator", "packed"])
+    def test_trace_ending_mid_measurement_raises(self, packed):
+        config = SimConfig(policy_factory=DiscardPgc, warmup_instructions=100,
+                           sim_instructions=10_000, packed=packed)
         with pytest.raises(ValueError, match="truncating the measured region"):
             simulate(FiniteWorkload(800), config)
 

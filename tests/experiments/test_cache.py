@@ -22,6 +22,12 @@ class TestFingerprint:
         cell = cell_for(by_name("astar"), FAST)
         assert cell_fingerprint(cell) == cell_fingerprint(cell)
 
+    def test_pinned_value(self):
+        # existing cache entries stay addressable only while this holds:
+        # a change here must be deliberate and bump CACHE_SCHEMA
+        assert cell_fingerprint(cell_for(by_name("astar"), FAST)) == (
+            "a412bb04af0d66469eb095f1a20803209d1de6e4c3ac92788f609f7879fe1f0a")
+
     def test_workload_changes_key(self):
         assert cell_fingerprint(cell_for(by_name("astar"), FAST)) != \
             cell_fingerprint(cell_for(by_name("hmmer"), FAST))

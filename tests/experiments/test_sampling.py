@@ -144,13 +144,6 @@ class TestSimulateSampled:
         simulate(by_name("mcf"), _config())
         assert counter.value(mode="sampled") == before + 1
 
-    def test_vectorized_and_auto_kernels_accepted(self):
-        wl = by_name("mcf")
-        fused = simulate(wl, _config())
-        for kernel in ("vectorized", "auto"):
-            alt = simulate(wl, _config(kernel=kernel))
-            assert alt.sampled_phases == fused.sampled_phases
-
     def test_requires_sampling_config(self):
         with pytest.raises(ValueError, match="config.sampling"):
             simulate_sampled(by_name("mcf"), _config(sampling=None))

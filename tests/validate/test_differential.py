@@ -91,5 +91,8 @@ class TestSuiteDriver:
             progress=seen.append,
         )
         assert seen == outcomes
+        # the only cells that drive NoPrefetcher through the fused kernel
+        assert {"packed-vs-generator[hmmer/none/discard]",
+                "packed-vs-generator[hmmer/none/discard@512]"} <= {o.name for o in outcomes}
         failed = [o for o in outcomes if not o.passed]
         assert not failed, "; ".join(f"{o.name}: {o.detail}" for o in failed)
