@@ -21,7 +21,7 @@ diffed against a serial reference run before any timing is reported.
 the stitched representative reconstruction at paper-like scale (default
 200k+2M instructions on mcf), reporting wall-clock speedup next to the
 reconstruction's relative IPC error and aborting if the error exceeds the
-``SamplingConfig.max_rel_error`` bound.  Writes ``BENCH_0008.json``.
+``SamplingConfig.max_rel_error`` bound.
 
 Usage::
 
@@ -29,8 +29,10 @@ Usage::
         --workload astar --prefetchers berti ipcp bop \
         --policies discard dripper --repeats 3 --grid
 
-Writes a machine-readable summary (default ``BENCH_0006.json`` at the repo
-root) so perf regressions are diffable across commits.
+``--out PATH`` (``--mix-out`` and ``--sampled-out`` in the other two modes)
+writes a machine-readable summary there, so perf regressions are diffable
+across commits.  Without it nothing is written: a bare run never overwrites
+the recorded ``BENCH_*.json`` history.
 """
 
 from __future__ import annotations
@@ -57,9 +59,6 @@ from repro.experiments.parallel import (
 from repro.validate import result_diff
 from repro.workloads import by_name, clear_pack_cache, get_packed, make_mixes
 from repro.cpu.simulator import simulate
-
-REPO_ROOT = Path(__file__).resolve().parents[1]
-
 
 def _timed(fn):
     """(wall seconds, return value) for one run of fn.
@@ -337,7 +336,8 @@ def bench_sampled(workload, prefetcher: str, policy: str, warmup: int,
     }
 
 
-def main() -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """The command line; every output path is opt-in."""
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--workload", default="astar")
     parser.add_argument("--prefetchers", nargs="+", default=["berti", "ipcp", "bop"])
@@ -354,8 +354,8 @@ def main() -> int:
     parser.add_argument("--grid-jobs", type=int, default=2)
     parser.add_argument("--grid-repeats", type=int, default=3,
                         help="interleaved grid repeats (default: 3)")
-    parser.add_argument("--out", default=str(REPO_ROOT / "BENCH_0006.json"),
-                        help="JSON summary path ('' to skip writing)")
+    parser.add_argument("--out", default=None,
+                        help="write the JSON summary here (nothing is written without it)")
     parser.add_argument("--mix", action="store_true",
                         help="benchmark the multi-core mix grid instead: "
                              "serial generator stepping vs whole mixes "
@@ -370,8 +370,8 @@ def main() -> int:
     parser.add_argument("--mix-sim", type=int, default=6_000)
     parser.add_argument("--mix-repeats", type=int, default=3,
                         help="interleaved mix-grid repeats")
-    parser.add_argument("--mix-out", default=str(REPO_ROOT / "BENCH_0007.json"),
-                        help="mix benchmark JSON path ('' to skip writing)")
+    parser.add_argument("--mix-out", default=None,
+                        help="write the mix benchmark JSON here (nothing is written without it)")
     parser.add_argument("--sampled", action="store_true",
                         help="benchmark phase-sampled simulation instead: a "
                              "full packed run vs the stitched representative "
@@ -386,10 +386,14 @@ def main() -> int:
     parser.add_argument("--sampled-repeats", type=int, default=2,
                         help="interleaved sampled-benchmark repeats (each "
                              "repeat pays one full 2M-instruction run)")
-    parser.add_argument("--sampled-out",
-                        default=str(REPO_ROOT / "BENCH_0008.json"),
-                        help="sampled benchmark JSON path ('' to skip writing)")
-    args = parser.parse_args()
+    parser.add_argument("--sampled-out", default=None,
+                        help="write the sampled benchmark JSON here (nothing is written "
+                             "without it)")
+    return parser
+
+
+def main() -> int:
+    args = build_parser().parse_args()
 
     if args.sampled:
         from repro.experiments.sampling import SamplingConfig

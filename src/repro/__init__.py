@@ -26,7 +26,7 @@ from repro.core import (
     make_ppf,
     make_ppf_dthr,
 )
-from repro.cpu import MixResult, SimConfig, SimResult, simulate, simulate_mix
+from repro.cpu import MixResult, SimConfig, SimResult, simulate, simulate_mix, simulate_policies
 from repro.obs import Observability, Probe, RunJournal, TimelineRecorder
 from repro.params import DEFAULT_PARAMS, SystemParams
 from repro.workloads import by_name, seen_workloads, unseen_workloads
@@ -50,6 +50,7 @@ __all__ = [
     "SimResult",
     "simulate",
     "simulate_mix",
+    "simulate_policies",
     "Observability",
     "Probe",
     "RunJournal",

@@ -275,16 +275,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
     workload = _resolve_workload(args)
     obs = _make_obs(args)
     cache = _make_cache(args)
-    specs = [_spec(args, policy) for policy in args.policies]
-    if args.jobs > 1 or cache is not None:
-        from repro.experiments.parallel import cell_for, grid_session, run_cells
+    from repro.experiments.parallel import cell_for, grid_session, run_cells
 
-        cells = [cell_for(workload, spec) for spec in specs]
-        with grid_session(args.jobs, args.shm):
-            results = run_cells(cells, jobs=args.jobs, cache=cache, obs=obs,
-                                shm=args.shm, progress=_progress_sink(args))
-    else:
-        results = [run_one(workload, spec, obs=obs) for spec in specs]
+    cells = [cell_for(workload, _spec(args, policy)) for policy in args.policies]
+    with grid_session(args.jobs, args.shm):
+        results = run_cells(cells, jobs=args.jobs, cache=cache, obs=obs,
+                            shm=args.shm, progress=_progress_sink(args))
     base = results[0]
     speedups = [_speedup_cell(r, base) for r in results]
     if args.json:

@@ -8,6 +8,7 @@ from repro.core.dripper import (
     make_dripper_sf,
     storage_overhead_kib,
 )
+from repro.core.ensemble import PolicyEnsemble
 from repro.core.features import FEATURES, TABLE_I_FEATURES, ProgramFeature, get_feature
 from repro.core.filter import FilterConfig, PerceptronFilter, single_feature_filter
 from repro.core.introspect import filter_state, format_filter_state, top_weights, weight_summary
@@ -51,6 +52,7 @@ __all__ = [
     "DiscardPtw",
     "PageCrossPolicy",
     "PermitPgc",
+    "PolicyEnsemble",
     "make_ppf",
     "make_ppf_dthr",
     "SYSTEM_FEATURES",

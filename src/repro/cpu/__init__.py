@@ -3,7 +3,14 @@
 from repro.cpu.core import CoreEngine
 from repro.cpu.fastpath import drive_packed
 from repro.cpu.multicore import MixResult, isolation_ipc, simulate_mix
-from repro.cpu.simulator import SimConfig, SimResult, build_engine, drive, simulate
+from repro.cpu.simulator import (
+    SimConfig,
+    SimResult,
+    build_engine,
+    drive,
+    simulate,
+    simulate_policies,
+)
 
 __all__ = [
     "CoreEngine",
@@ -16,4 +23,5 @@ __all__ = [
     "build_engine",
     "drive",
     "simulate",
+    "simulate_policies",
 ]

@@ -9,10 +9,11 @@ usefulness counters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from time import perf_counter
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
+from repro.core.ensemble import PolicyEnsemble, dispatch_of
 from repro.core.policies import DiscardPgc, PageCrossPolicy
 from repro.cpu.core import CoreEngine
 from repro.mem.hierarchy import MemoryHierarchy
@@ -52,6 +53,17 @@ DRIVES = get_metrics().counter(
 PREFETCH_STREAMS = get_metrics().counter(
     "sim.prefetch_streams",
     "drive loops by prefetch-candidate source (replayed/live)")
+
+
+#: one increment per config handed to :func:`simulate_policies`, by how its
+#: result came about: ``led`` (a drive it led, alone or in lockstep — one
+#: per drive simulate_policies starts) or ``shared`` (a lockstep drive led
+#: by another config, which it agreed with on every page-cross decision);
+#: plus one ``diverged`` per member dropped from a lockstep drive, which
+#: then runs again in a later drive
+POLICY_RUNS = get_metrics().counter(
+    "sim.policy_runs",
+    "simulate_policies configs by outcome (led/shared/diverged)")
 
 
 def count_drive(mode: str, *, replayed: bool = False) -> None:
@@ -335,6 +347,26 @@ def drive(engine: CoreEngine, workload: Workload, config: SimConfig) -> float:
     return wall_seconds
 
 
+def _drive_fresh(engine: CoreEngine, workload: Workload, config: SimConfig) -> float:
+    """Drive a freshly built engine over the config's window; returns wall seconds."""
+    if config.packed:
+        from repro.cpu.fastpath import drive_packed
+        from repro.workloads.packed import get_packed
+
+        packed = get_packed(workload, config.warmup_instructions, config.sim_instructions)
+        with trace_span("drive", workload=workload.name, mode="packed"):
+            stream = None
+            if engine.probe is None and engine.prefetcher.replayable:
+                # this fresh engine drives the whole pack with a
+                # factory-built prefetcher, so its candidates are the
+                # pack's recorded stream (built by the first such drive)
+                stream = packed.prefetch_stream(
+                    config.prefetcher, config.prefetcher_extra_storage)
+            return drive_packed(engine, packed, config, stream)
+    with trace_span("drive", workload=workload.name, mode="generator"):
+        return drive(engine, workload, config)
+
+
 def simulate(
     workload: Workload, config: SimConfig, *, obs: Optional["Observability"] = None
 ) -> SimResult:
@@ -363,23 +395,7 @@ def simulate(
 
         checker = InvariantChecker(obs=obs, workload=workload.name)
         checker.attach(engine)
-    if config.packed:
-        from repro.cpu.fastpath import drive_packed
-        from repro.workloads.packed import get_packed
-
-        packed = get_packed(workload, config.warmup_instructions, config.sim_instructions)
-        with trace_span("drive", workload=workload.name, mode="packed"):
-            stream = None
-            if engine.probe is None and engine.prefetcher.replayable:
-                # this fresh engine drives the whole pack with a
-                # factory-built prefetcher, so its candidates are the
-                # pack's recorded stream (built by the first such drive)
-                stream = packed.prefetch_stream(
-                    config.prefetcher, config.prefetcher_extra_storage)
-            wall_seconds = drive_packed(engine, packed, config, stream)
-    else:
-        with trace_span("drive", workload=workload.name, mode="generator"):
-            wall_seconds = drive(engine, workload, config)
+    wall_seconds = _drive_fresh(engine, workload, config)
     with trace_span("collect", workload=workload.name):
         result = collect_result(engine, workload.name, config)
     if checker is not None:
@@ -387,3 +403,89 @@ def simulate(
     if obs is not None:
         obs.finish(engine, workload, config, result, wall_seconds)
     return result
+
+
+# ---------------------------------------------------------------------------
+# policy lockstep (DESIGN.md §17)
+
+
+def simulate_policies(workload: Workload, configs: Sequence[SimConfig]) -> list[SimResult]:
+    """Run one workload under several configs; one result per config, in order.
+
+    Every result equals ``simulate(workload, config)`` bit for bit.  Configs
+    that differ only in their page-cross policy share one engine, whose
+    policy is a :class:`~repro.core.ensemble.PolicyEnsemble` of theirs: a
+    member that agrees with the leader on every decision gets the leader's
+    result under its own ``policy`` name, and the members that diverged run
+    again as the next group, led by their first member, until every config
+    has a result.  Configs share an engine when they are equal after
+    clearing ``policy_factory`` and ``prefetcher_extra_storage``, their
+    policies agree on ``requires_translation_hit`` and
+    ``filter_at_native_boundary``, and their prefetcher storage sizes are
+    equal — or, on packed runs of a replayable prefetcher, the pack's
+    :class:`~repro.workloads.packed.PrefetchStream` is the same for both.
+    A group of one, a sampled config and a ``validate=True`` config run
+    through :func:`simulate` alone.
+    """
+    results: list[Optional[SimResult]] = [None] * len(configs)
+    for group in _lockstep_groups(workload, configs):
+        while len(group) > 1:
+            group = _drive_lockstep(workload, configs, group, results)
+        if group:
+            results[group[0]] = simulate(workload, configs[group[0]])
+            POLICY_RUNS.inc(outcome="led")
+    return results  # type: ignore[return-value]
+
+
+def _lockstep_groups(workload: Workload, configs: Sequence[SimConfig]) -> list[list[int]]:
+    """Partition config positions into groups that may share an engine."""
+    groups: list[list[int]] = []
+    open_groups: list[tuple[SimConfig, tuple[bool, bool], SimConfig, list[int]]] = []
+    for i, config in enumerate(configs):
+        if config.sampling is not None or config.validate:
+            groups.append([i])
+            continue
+        key = replace(config, policy_factory=DiscardPgc, prefetcher_extra_storage=0)
+        dispatch = dispatch_of(config.policy_factory())
+        for g_key, g_dispatch, head, members in open_groups:
+            if (g_key == key and g_dispatch == dispatch
+                    and _same_candidates(workload, head, config)):
+                members.append(i)
+                break
+        else:
+            members = [i]
+            open_groups.append((key, dispatch, config, members))
+            groups.append(members)
+    return groups
+
+
+def _same_candidates(workload: Workload, a: SimConfig, b: SimConfig) -> bool:
+    """Whether two otherwise-equal configs' prefetchers propose the same candidates."""
+    if a.prefetcher_extra_storage == b.prefetcher_extra_storage:
+        return True
+    if not a.packed or not make_l1d_prefetcher(a.prefetcher).replayable:
+        return False
+    from repro.workloads.packed import get_packed
+
+    packed = get_packed(workload, a.warmup_instructions, a.sim_instructions)
+    return (packed.prefetch_stream(a.prefetcher, a.prefetcher_extra_storage)
+            == packed.prefetch_stream(b.prefetcher, b.prefetcher_extra_storage))
+
+
+def _drive_lockstep(workload: Workload, configs: Sequence[SimConfig], group: list[int],
+                    results: list[Optional[SimResult]]) -> list[int]:
+    """One lockstep drive of ``group``; fills its sharers' results, returns the diverged."""
+    leader = configs[group[0]]
+    ensemble = PolicyEnsemble([configs[i].policy_factory() for i in group])
+    engine = build_engine(replace(leader, policy_factory=lambda: ensemble))
+    _drive_fresh(engine, workload, leader)
+    with trace_span("collect", workload=workload.name):
+        # once: MemoryHierarchy.finalize is not idempotent
+        result = collect_result(engine, workload.name, leader)
+    results[group[0]] = result
+    for k in ensemble.live[1:]:
+        results[group[k]] = replace(result, policy=ensemble.members[k].name)
+    POLICY_RUNS.inc(outcome="led")
+    POLICY_RUNS.inc(len(ensemble.live) - 1, outcome="shared")
+    POLICY_RUNS.inc(len(ensemble.dropped), outcome="diverged")
+    return [group[k] for k in sorted(ensemble.dropped)]

@@ -9,9 +9,10 @@ each function to the paper exhibit and records measured-vs-paper shapes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Optional, Sequence
 
-from repro.cpu.simulator import SimConfig, SimResult
+from repro.cpu.simulator import SimResult, simulate_policies
 from repro.experiments.metrics import average, geomean, geomean_speedup, speedup_percent
 from repro.experiments.runner import RunSpec, run_many, run_policies
 from repro.workloads import (
@@ -265,34 +266,35 @@ def fig13_pgc_pki(scale: Scale = DEFAULT_SCALE):
 
 
 def fig14_single_features(scale: Scale = DEFAULT_SCALE):
-    """Figure 14: DRIPPER vs its three constituent single-feature filters."""
+    """Figure 14: DRIPPER vs its three constituent single-feature filters.
+
+    Each workload's five configs (the Discard baseline, DRIPPER, and one
+    filter per single feature) go to one :func:`simulate_policies` call, so
+    they share an engine until their decisions diverge.
+    """
     from repro.core.filter import single_feature_filter
 
     workloads = _sample_seen(scale)
     spec = scale.spec(prefetcher="berti")
-    base = run_many(workloads, replace(spec, policy="discard"))
-    out = {}
-    res_dripper = run_many(workloads, replace(spec, policy="dripper"))
-    out["dripper"] = speedup_percent(geomean_speedup(res_dripper, base))
-    single_specs = [
-        ("Delta", False),
-        ("sTLB MPKI", True),
-        ("sTLB Miss Rate", True),
-    ]
-    for feature_name, is_system in single_specs:
-        results = []
-        for workload in workloads:
-            config = _config_for(spec, workload, lambda: single_feature_filter(feature_name, system=is_system))
-            from repro.cpu.simulator import simulate
-
-            results.append(simulate(workload, config))
-        out[f"single:{feature_name}"] = speedup_percent(geomean_speedup(results, base))
-    return out
-
-
-def _config_for(spec: RunSpec, workload, factory) -> SimConfig:
-    config = spec.config_for(workload)
-    return replace(config, policy_factory=factory)
+    singles = {
+        f"single:{name}": partial(single_feature_filter, name, system=is_system)
+        for name, is_system in (("Delta", False), ("sTLB MPKI", True), ("sTLB Miss Rate", True))
+    }
+    columns: dict[str, list[SimResult]] = {"discard": [], "dripper": [], **{k: [] for k in singles}}
+    for workload in workloads:
+        base = spec.config_for(workload)
+        configs = [
+            base,
+            replace(spec, policy="dripper").config_for(workload),
+            *(replace(base, policy_factory=factory) for factory in singles.values()),
+        ]
+        for results, result in zip(columns.values(), simulate_policies(workload, configs)):
+            results.append(result)
+    base_results = columns.pop("discard")
+    return {
+        column: speedup_percent(geomean_speedup(results, base_results))
+        for column, results in columns.items()
+    }
 
 
 def fig15_dripper_sf(scale: Scale = DEFAULT_SCALE):

@@ -4,8 +4,8 @@ Every grid helper (``run_many``/``run_policies``/the sweeps) lowers its loop
 nest to a flat list of :class:`Cell`\\ s — picklable descriptions of one
 (workload × spec × overrides) point — and hands them to :func:`run_cells`:
 
-* ``jobs=1`` executes the cells in input order, in process, through exactly
-  the code path the serial helpers always used;
+* ``jobs=1`` executes the cells in process, one workload at a time, and
+  returns them in input order;
 * ``jobs>1`` dispatches the cells to a :class:`ProcessPoolExecutor` and
   reassembles the results **in input order**, so callers cannot observe the
   scheduling;
@@ -19,6 +19,12 @@ identity and pack window, and each worker receives whole per-workload chunks
 — so it materialises (or shm-attaches) a workload's pack once and replays it
 across all of that workload's (prefetcher × policy × params) cells, instead
 of thrashing the pack cache by round-robining across workloads.
+
+Both paths run each workload's cells through :func:`execute_cells`, which
+hands them to one :func:`~repro.cpu.simulator.simulate_policies` call: cells
+that differ only in their page-cross policy share one engine until their
+decisions diverge (DESIGN.md §17), and every result stays bit-identical to
+running the cell alone.
 
 Chunks dispatch **costliest-first**: each chunk's wall-clock is estimated as
 pack record count × the relative drive-loop weight of its cells' page-cross
@@ -69,11 +75,11 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from time import perf_counter
 
-from repro.cpu.simulator import SimConfig, SimResult, simulate
+from repro.cpu.simulator import SimConfig, SimResult, simulate, simulate_policies
 from repro.experiments.cache import CACHE_SCHEMA, ResultCache, fingerprint
 from repro.experiments.runner import RunSpec, policy_factory
 from repro.obs.journal import describe_config, describe_workload
@@ -218,33 +224,86 @@ def _grid_metrics():
 
 def execute_cell(cell: Cell, *, obs: Optional["Observability"] = None,
                  force_packed: bool = False) -> SimResult:
-    """Run one cell in the current process (the `jobs=1` path).
+    """Run one cell in the current process, alone on its engine.
 
     ``force_packed`` routes the run through the packed fast path regardless
     of the spec (bit-identical by contract) — set for cells whose chunk
     shipped an shm pack handle, so the worker replays the attached view.
     """
     workload = cell.resolve_workload()
-    config = build_config(cell, workload)
-    if force_packed and not config.packed:
-        config.packed = True
-    policy = cell.policy or cell.spec.policy
+    config = _cell_config(cell, workload, force_packed)
     start = perf_counter()
     with trace_span("cell", category="grid",
-                    workload=cell.workload, policy=policy):
+                    workload=cell.workload, policy=_policy_of(cell)):
         if obs is not None:
             with obs.scoped(spec=asdict(cell.spec), **(cell.context or {})):
                 result = simulate(workload, config, obs=obs)
         else:
             result = simulate(workload, config, obs=obs)
-    wall = perf_counter() - start
+    _account_cells([result], perf_counter() - start)
+    return result
+
+
+def execute_cells(cells: Sequence[Cell], *, obs: Optional["Observability"] = None,
+                  force_packed: bool = False) -> list[SimResult]:
+    """Run cells in the current process; results come back in input order.
+
+    Each workload's cells go to one
+    :func:`~repro.cpu.simulator.simulate_policies` call, so cells that
+    differ only in their page-cross policy share an engine until their
+    decisions diverge (DESIGN.md §17).  With an ``obs`` bundle every cell
+    runs alone through :func:`execute_cell`: journals, timelines and probes
+    describe one engine per cell.
+    """
+    if obs is not None:
+        return [execute_cell(cell, obs=obs, force_packed=force_packed) for cell in cells]
+    results: list[Optional[SimResult]] = [None] * len(cells)
+    for indices in _workload_groups(cells, range(len(cells))):
+        group = [cells[i] for i in indices]
+        workload = group[0].resolve_workload()
+        configs = [_cell_config(cell, workload, force_packed) for cell in group]
+        start = perf_counter()
+        with trace_span("cell", category="grid", workload=group[0].workload,
+                        policy=",".join(_policy_of(cell) for cell in group)):
+            landed = simulate_policies(workload, configs)
+        _account_cells(landed, perf_counter() - start)
+        for i, result in zip(indices, landed):
+            results[i] = result
+    return results  # type: ignore[return-value]
+
+
+def _policy_of(cell: Cell) -> str:
+    return cell.policy or cell.spec.policy
+
+
+def _cell_config(cell: Cell, workload: Any, force_packed: bool) -> SimConfig:
+    config = build_config(cell, workload)
+    if force_packed and not config.packed:
+        config.packed = True
+    return config
+
+
+def _workload_groups(cells: Sequence[Cell], indices: Iterable[int]) -> list[list[int]]:
+    """Cell indices grouped by workload identity, in first-seen order."""
+    groups: dict[tuple, list[int]] = {}
+    for i in indices:
+        cell = cells[i]
+        key = (cell.workload,
+               id(cell.workload_obj) if cell.workload_obj is not None else None)
+        groups.setdefault(key, []).append(i)
+    return list(groups.values())
+
+
+def _account_cells(results: Sequence[SimResult], wall: float) -> None:
+    """Grid metrics for cells that ran together in ``wall`` seconds (split evenly)."""
     cells, instructions, wall_seconds, cell_seconds = _grid_metrics()
     pid = str(os.getpid())
-    cells.inc(pid=pid)
-    instructions.inc(result.instructions, pid=pid)
-    wall_seconds.inc(wall, pid=pid)
-    cell_seconds.observe(wall)
-    return result
+    share = wall / len(results)
+    for result in results:
+        cells.inc(pid=pid)
+        instructions.inc(result.instructions, pid=pid)
+        wall_seconds.inc(share, pid=pid)
+        cell_seconds.observe(share)
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +376,10 @@ def _run_chunk_worker(
     mark = registry.snapshot()
     obs = _chunk_obs() if use_journal else None
     try:
-        out = [(i, execute_cell(cell, obs=obs, force_packed=force_packed))
-               for i, cell in items]
+        indices = [i for i, _ in items]
+        results = execute_cells([cell for _, cell in items], obs=obs,
+                                force_packed=force_packed)
+        out = list(zip(indices, results))
     finally:
         if obs is not None:
             obs.close()
@@ -515,9 +576,6 @@ def run_cells(
     if prog is not None:
         prog.start(len(cells), sum(1 for r in results if r is not None))
 
-    def _cell_policy(i: int) -> str:
-        return cells[i].policy or cells[i].spec.policy
-
     def finish(i: int, result: SimResult) -> None:
         results[i] = result
         if cache is not None:
@@ -525,7 +583,7 @@ def run_cells(
         if on_result is not None:
             on_result(i, result, False)
         if prog is not None:
-            prog.cell_finish(i, cells[i].workload, _cell_policy(i),
+            prog.cell_finish(i, cells[i].workload, _policy_of(cells[i]),
                              cached=False, instructions=result.instructions)
         for dup in duplicates.get(i, ()):
             dup_result = cache.get(keys[dup]) if cache is not None else None
@@ -534,16 +592,18 @@ def run_cells(
             if on_result is not None:
                 on_result(dup, results[dup], True)
             if prog is not None:
-                prog.cell_finish(dup, cells[dup].workload, _cell_policy(dup),
+                prog.cell_finish(dup, cells[dup].workload, _policy_of(cells[dup]),
                                  cached=True,
                                  instructions=results[dup].instructions)
 
     workers = min(jobs, len(pending))
     if workers <= 1:
-        for i in pending:
+        for group in _workload_groups(cells, pending):
             if prog is not None:
-                prog.cell_start(i, cells[i].workload, _cell_policy(i))
-            finish(i, execute_cell(cells[i], obs=obs))
+                for i in group:
+                    prog.cell_start(i, cells[i].workload, _policy_of(cells[i]))
+            for i, result in zip(group, execute_cells([cells[i] for i in group], obs=obs)):
+                finish(i, result)
     else:
         if obs is not None and (obs.timeline is not None or obs.probe is not None):
             raise ValueError(

@@ -190,21 +190,17 @@ def run_policies(
     ``prefetcher`` overrides the spec's prefetcher only when explicitly
     given — a caller-supplied ``base_spec`` keeps its own prefetcher
     otherwise (it used to be silently clobbered with the default).  The
-    whole (policy × workload) grid is dispatched as one batch, so ``jobs``
-    parallelises across policies as well as workloads; workload-affine
-    scheduling keeps each worker replaying one (shared) pack across its
-    policies.
+    whole (policy × workload) grid is dispatched as one batch through
+    :func:`~repro.experiments.parallel.run_cells` at every ``jobs`` value,
+    so ``jobs`` parallelises across policies as well as workloads;
+    workload-affine scheduling keeps each worker replaying one (shared)
+    pack across its policies, and each workload's policies share one engine
+    until their decisions diverge (DESIGN.md §17).
     """
     spec = base_spec or RunSpec(prefetcher=prefetcher or "berti")
     if prefetcher is not None:
         spec = replace(spec, prefetcher=prefetcher)
     policy_specs = {policy: replace(spec, policy=policy) for policy in policies}
-    if jobs == 1 and cache is None and progress is None:
-        return {
-            policy: run_many(workloads, policy_spec, obs=obs)
-            for policy, policy_spec in policy_specs.items()
-        }
-
     from repro.experiments.parallel import cell_for, grid_session, run_cells
 
     cells = [

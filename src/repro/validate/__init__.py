@@ -11,7 +11,8 @@ Two complementary layers guard the simulator's headline counters:
   parallel == serial, shm grid == serial, discard == source suppression,
   epoch invariance, packed == generator (single-core and per mix core),
   replayed prefetch-candidate streams == live prefetchers
-  (:func:`check_prefetch_replay_matches_live`),
+  (:func:`check_prefetch_replay_matches_live`), policy lockstep == solo
+  runs (:func:`check_policy_ensemble_matches_solo`),
   sampled-within-error-bound against a full run
   (:func:`check_sampled_matches_full`), a clean invariant pass per
   (workload × policy), and
@@ -23,6 +24,7 @@ from repro.validate.differential import (
     CheckOutcome,
     check_mix_packed_matches_generator,
     check_packed_matches_generator,
+    check_policy_ensemble_matches_solo,
     check_prefetch_replay_matches_live,
     check_sampled_matches_full,
     check_shm_grid_matches_serial,
@@ -36,6 +38,7 @@ __all__ = [
     "CheckOutcome",
     "check_mix_packed_matches_generator",
     "check_packed_matches_generator",
+    "check_policy_ensemble_matches_solo",
     "check_prefetch_replay_matches_live",
     "check_sampled_matches_full",
     "check_shm_grid_matches_serial",

@@ -27,6 +27,11 @@ field by field:
   recorded prefetch-candidate stream equals a packed drive that calls a
   caller-supplied (hence live) prefetcher, for Berti, IPCP and BOP under
   every Fig. 9 filter family; sampled and mix drives never replay;
+* **policy-ensemble-vs-solo** — :func:`simulate_policies`, which drives
+  configs that differ only in their page-cross policy on one engine until
+  their decisions diverge, equals one solo :func:`simulate` per policy for
+  the Fig. 9 scheme set plus native-boundary filters, packed and on the
+  generator loop, and both its shared and its diverged arms ran;
 * **mix-packed-vs-generator** — the packed multi-core mix loop
   (:func:`repro.cpu.multicore.simulate_mix` with ``packed=True``) equals
   the generator mix loop per core, on a mix whose QMM core (halved
@@ -48,6 +53,8 @@ from repro.core.filter import FilterConfig, PerceptronFilter
 from repro.core.policies import PageCrossPolicy, PermitPgc
 from repro.core.specialized import SPECIALIZED_FEATURES
 from repro.cpu.simulator import (
+    DRIVES,
+    POLICY_RUNS,
     PREFETCH_STREAMS,
     SimConfig,
     SimResult,
@@ -55,7 +62,9 @@ from repro.cpu.simulator import (
     collect_result,
     drive,
     simulate,
+    simulate_policies,
 )
+from repro.experiments.figures import FIG9_POLICIES
 from repro.experiments.parallel import cell_for, run_cells
 from repro.experiments.runner import RunSpec
 from repro.params import DEFAULT_PARAMS
@@ -369,6 +378,54 @@ def check_prefetch_replay_matches_live(workload_names: Sequence[str], *, warmup:
     return outcomes
 
 
+def check_policy_ensemble_matches_solo(workload_names: Sequence[str], *, prefetcher: str,
+                                       warmup: int, sim: int) -> list[CheckOutcome]:
+    """Policy lockstep equals one solo :func:`simulate` per policy.
+
+    Runs the Fig. 9 scheme set plus DRIPPER and Permit filtering at the
+    native page boundary on each workload, with half the memory on 2MB
+    pages so the native-boundary arm (a training hook that follows no
+    ``decide``) runs in lockstep too.  Each workload runs packed and on the
+    generator loop, once through :func:`simulate_policies` and once through
+    a per-policy :func:`simulate`, and every pair of results must be
+    bit-identical.  A last outcome requires that over the whole check at
+    least one member shared a drive and at least one diverged and ran
+    again, so the check cannot pass without exercising both arms.
+    """
+    policies = [(policy, False) for policy in ("discard", *FIG9_POLICIES)]
+    policies += [("dripper", True), ("permit", True)]
+    outcomes = []
+    before = {o: POLICY_RUNS.value(outcome=o) for o in ("shared", "diverged")}
+    for workload_name in workload_names:
+        workload = by_name(workload_name)
+        for packed in (True, False):
+            configs = [
+                _spec(prefetcher, policy, warmup, sim, packed=packed,
+                      large_page_fraction=0.5,
+                      filter_at_native_boundary=native).config_for(workload)
+                for policy, native in policies
+            ]
+            drives = DRIVES.total()
+            lockstep = simulate_policies(workload, configs)
+            drives = DRIVES.total() - drives
+            mode = "packed" if packed else "generator"
+            name = f"policy-ensemble-vs-solo[{workload_name}/{mode}]"
+            for (policy, native), config, shared in zip(policies, configs, lockstep):
+                diffs = result_diff(simulate(workload, config), shared)
+                if diffs:
+                    label = f"{policy}@native" if native else policy
+                    outcomes.append(CheckOutcome(name, False, f"{label}: {_summarise(diffs)}"))
+                    break
+            else:
+                outcomes.append(CheckOutcome(
+                    name, True, f"{len(configs)} policies identical in {drives} drives"))
+    counted = {o: POLICY_RUNS.value(outcome=o) - v for o, v in before.items()}
+    outcomes.append(CheckOutcome(
+        "policy-ensemble-exercised", counted["shared"] >= 1 and counted["diverged"] >= 1,
+        f"{counted['shared']:g} shared, {counted['diverged']:g} diverged"))
+    return outcomes
+
+
 def check_sampled_matches_full(
     workload_name: str, *, prefetcher: str = "berti", policy: str = "dripper",
     warmup: int, sim: int, sampling: Optional[Any] = None,
@@ -602,6 +659,9 @@ def run_validation_suite(
         record(outcome)
     for outcome in check_prefetch_replay_matches_live(workload_names, warmup=warmup,
                                                       sim=sim):
+        record(outcome)
+    for outcome in check_policy_ensemble_matches_solo(workload_names, prefetcher=prefetcher,
+                                                      warmup=warmup, sim=sim):
         record(outcome)
     for outcome in check_sampled_matches_full(anchor, prefetcher=prefetcher,
                                               policy=policies[-1],

@@ -170,6 +170,15 @@ class PrefetchStream:
         """Number of recorded candidates."""
         return len(self.targets)
 
+    def __eq__(self, other: object) -> bool:
+        """Column-for-column equality (element values, whatever the typecodes)."""
+        if not isinstance(other, PrefetchStream):
+            return NotImplemented
+        return (self.ends == other.ends and self.targets == other.targets
+                and self.deltas == other.deltas and self.ranks == other.ranks)
+
+    __hash__ = None  # type: ignore[assignment]
+
     def nbytes(self) -> int:
         """Buffer size in bytes (the four columns)."""
         return sum(col.itemsize * len(col)

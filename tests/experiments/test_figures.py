@@ -47,3 +47,36 @@ class TestFigureStructure:
         data = fig18_unseen(TINY)
         assert set(data) == {"permit_pct", "dripper_pct", "per_workload_dripper_pct"}
         assert data["per_workload_dripper_pct"] == sorted(data["per_workload_dripper_pct"])
+
+
+class TestFig14Lockstep:
+    def test_output_matches_one_simulate_per_cell(self):
+        """Fig. 14 through simulate_policies equals its per-cell simulate() procedure."""
+        from dataclasses import replace
+
+        from repro.core.filter import single_feature_filter
+        from repro.cpu.simulator import simulate
+        from repro.experiments import fig14_single_features, geomean_speedup, speedup_percent
+        from repro.experiments.figures import _sample_seen
+
+        scale = Scale(n_workloads=4, warmup_instructions=1_000, sim_instructions=3_000, seed=2)
+        spec = scale.spec(prefetcher="berti")
+        workloads = _sample_seen(scale)
+
+        def column(factory=None, policy="discard"):
+            results = []
+            for workload in workloads:
+                config = replace(spec, policy=policy).config_for(workload)
+                if factory is not None:
+                    config = replace(config, policy_factory=factory)
+                results.append(simulate(workload, config))
+            return results
+
+        base = column()
+        expected = {"dripper": speedup_percent(geomean_speedup(column(policy="dripper"), base))}
+        for name, system in (("Delta", False), ("sTLB MPKI", True), ("sTLB Miss Rate", True)):
+            results = column(lambda: single_feature_filter(name, system=system))
+            expected[f"single:{name}"] = speedup_percent(geomean_speedup(results, base))
+        data = fig14_single_features(scale)
+        assert list(data) == list(expected)
+        assert data == expected  # exact float equality

@@ -9,6 +9,7 @@ from repro.validate.differential import (
     check_discard_source_equivalence,
     check_epoch_invariance,
     check_invariants_clean,
+    check_policy_ensemble_matches_solo,
     check_prefetch_replay_matches_live,
     result_diff,
     run_validation_suite,
@@ -78,6 +79,17 @@ class TestMetamorphicChecks:
         assert "prefetch-replay-vs-live[hmmer/bop/iso]" in names
         assert {"prefetch-stream-live-only[sampled]",
                 "prefetch-stream-live-only[mix]"} <= names
+        for outcome in outcomes:
+            assert outcome.passed, f"{outcome.name}: {outcome.detail}"
+
+    def test_policy_ensemble_matches_solo(self):
+        outcomes = check_policy_ensemble_matches_solo(["hmmer"], prefetcher="berti",
+                                                      warmup=WARMUP, sim=SIM)
+        assert [o.name for o in outcomes] == [
+            "policy-ensemble-vs-solo[hmmer/packed]",
+            "policy-ensemble-vs-solo[hmmer/generator]",
+            "policy-ensemble-exercised",
+        ]
         for outcome in outcomes:
             assert outcome.passed, f"{outcome.name}: {outcome.detail}"
 

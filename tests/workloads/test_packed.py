@@ -331,6 +331,16 @@ class TestPrefetchStream:
         assert packed.prefetch_stream("berti", 1475) is not stream
         assert packed.prefetch_stream("ipcp") is not stream
 
+    def test_equality_is_column_for_column(self):
+        # what lets an ISO config share Permit's lockstep drive
+        packed = PackedTrace.from_workload(by_name("astar"), *self.WINDOW)
+        stream = packed.prefetch_stream("berti")
+        again = PackedTrace.from_workload(by_name("astar"), *self.WINDOW).prefetch_stream("berti")
+        assert again is not stream and again == stream
+        assert packed.prefetch_stream("berti", 1475) == stream
+        assert packed.prefetch_stream("ipcp") != stream
+        assert stream != list(stream.targets)
+
     def test_non_replayable_prefetcher_rejected(self):
         packed = PackedTrace.from_workload(by_name("astar"), *self.WINDOW)
         with pytest.raises(ValueError, match="replayable"):
