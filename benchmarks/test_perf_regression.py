@@ -145,7 +145,7 @@ class TestMixThroughput:
                  for policy in ("discard", "dripper")]
 
         def packed_grid():
-            with grid_session(2, True):
+            with grid_session(2):
                 return run_mix_cells(cells, jobs=2)
 
         t_serial, serial = _best_of(2, lambda: run_mix_cells(cells, jobs=1))

@@ -13,8 +13,9 @@ the speedup is only meaningful if the answers are bit-identical.
 (workload × policy) cell batch dispatched per-cell to a worker pool with
 per-worker packing (the historical parallel grid) versus the
 workload-affine scheduler replaying zero-copy shared-memory packs
-(``grid_session`` + ``run_cells(shm=True)``).  Both leg's results are
-diffed against a serial reference run before any timing is reported.
+(``run_cells(jobs=N)``, whose pool always carries the pack store).  Both
+legs' results are diffed against a serial reference run before any timing
+is reported.
 
 ``--sampled`` benchmarks phase-sampled simulation
 (:mod:`repro.experiments.sampling`) instead: one full packed run against
@@ -51,6 +52,7 @@ from repro.experiments.parallel import (
     _init_worker,
     _run_chunk_worker,
     cell_for,
+    execute_cells,
     grid_session,
     mix_cell_for,
     run_cells,
@@ -162,19 +164,19 @@ def _legacy_grid(cells, jobs: int):
     with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
                              initargs=(None, ())) as pool:
         futures = [
-            pool.submit(_run_chunk_worker, [(i, cell)], (), False, False)
+            pool.submit(_run_chunk_worker, execute_cells, [(i, cell)], (), False, False)
             for i, cell in enumerate(cells)
         ]
         for future in as_completed(futures):
-            for i, result in future.result():
+            landed, _delta = future.result()
+            for i, result in landed:
                 results[i] = result
     return results
 
 
 def _shm_grid(cells, jobs: int):
     """The shm + workload-affine grid (a fresh session per run, like a CLI call)."""
-    with grid_session(jobs, True):
-        return run_cells(cells, jobs=jobs, shm=True)
+    return run_cells(cells, jobs=jobs)
 
 
 def bench_grid(workloads, policies, prefetcher: str, warmup: int, sim: int,
@@ -235,7 +237,7 @@ def bench_mix(n_mixes: int, cores: int, policies, prefetcher: str,
     cells = [mix_cell_for(mix, spec, policy=policy, mix_id=i)
              for i, mix in enumerate(mixes) for policy in policies]
 
-    with grid_session(jobs, True):
+    with grid_session(jobs):
         t_serial, serial_results, t_packed, packed_results, speedup = _best_of_interleaved(
             repeats,
             lambda: run_mix_cells(cells, jobs=1),

@@ -44,10 +44,7 @@ shm-attach, drive, collect, cache-write — loadable in Perfetto or
 ``chrome://tracing``; under ``--jobs`` the workers' spans are merged in with
 their real pids).  ``compare`` and ``sweep`` additionally accept ``--jobs``
 (process-pool grid execution), ``--cache-dir`` (content-addressed result
-cache; unchanged cells are never re-simulated), ``--shm``/``--no-shm``
-(share each workload's packed trace with the workers through shared memory
-instead of re-packing per worker; on by default whenever ``--jobs`` > 1),
-and ``--progress`` (live per-cell progress lines with ETA on stderr).
+cache; unchanged cells are never re-simulated), and ``--progress`` (live per-cell progress lines with ETA on stderr).
 
 ``status`` summarises a finished (or in-flight) run journal — runs,
 workloads, policies, wall time, aggregate simulation throughput, per-policy
@@ -275,12 +272,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
     workload = _resolve_workload(args)
     obs = _make_obs(args)
     cache = _make_cache(args)
-    from repro.experiments.parallel import cell_for, grid_session, run_cells
+    from repro.experiments.parallel import cell_for, run_cells
 
     cells = [cell_for(workload, _spec(args, policy)) for policy in args.policies]
-    with grid_session(args.jobs, args.shm):
-        results = run_cells(cells, jobs=args.jobs, cache=cache, obs=obs,
-                            shm=args.shm, progress=_progress_sink(args))
+    results = run_cells(cells, jobs=args.jobs, cache=cache, obs=obs,
+                        progress=_progress_sink(args))
     base = results[0]
     speedups = [_speedup_cell(r, base) for r in results]
     if args.json:
@@ -332,7 +328,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     obs = _make_obs(args)
     cache = _make_cache(args)
     common = dict(base_spec=spec, obs=obs, jobs=args.jobs, cache=cache,
-                  shm=args.shm, progress=_progress_sink(args))
+                  progress=_progress_sink(args))
     if args.param == "epoch":
         epoch_data = sweep_epoch_length(workloads, args.values, **common)
         data = {value: {"dripper": pct} for value, pct in epoch_data.items()}
@@ -495,7 +491,6 @@ def cmd_mix(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         cache=cache,
         obs=obs,
-        shm=args.shm,
         packed=args.packed,
         validate=args.validate,
         progress=_progress_sink(args),
@@ -689,13 +684,6 @@ def build_parser() -> argparse.ArgumentParser:
         g.add_argument("--cache-dir", metavar="DIR", default=None,
                        help="content-addressed result cache; unchanged cells are "
                             "served from disk instead of re-simulated")
-        shm = g.add_mutually_exclusive_group()
-        shm.add_argument("--shm", dest="shm", action="store_true", default=None,
-                         help="share packed traces with workers through "
-                              "shared memory (default when --jobs > 1)")
-        shm.add_argument("--no-shm", dest="shm", action="store_false",
-                         help="disable the shared-memory pack store; workers "
-                              "pack their own traces")
         g.add_argument("--progress", action="store_true",
                        help="print live per-cell progress (with ETA and "
                             "throughput) to stderr as grid cells land")

@@ -57,6 +57,7 @@ from repro.mem.cache import Cache
 from repro.mem.dram import Dram
 from repro.obs.tracing import trace_span
 from repro.workloads.synthetic import SyntheticWorkload
+from repro.workloads.trace import trace_window
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cpu.core import CoreEngine
@@ -103,6 +104,11 @@ class MixResult:
     results: list[SimResult]
     #: caller-assigned mix identity (rides into journal/metrics context)
     mix_id: Optional[int] = None
+
+    @property
+    def instructions(self) -> int:
+        """Measured instructions summed over cores."""
+        return sum(r.instructions for r in self.results)
 
     @property
     def ipcs(self) -> list[float]:
@@ -278,9 +284,8 @@ def simulate_mix(
     budgets = []
     core_configs = []
     for i, workload in enumerate(workloads):
-        warmup, sim = config.warmup_instructions, config.sim_instructions
-        if workload.suite.startswith("QMM"):
-            warmup, sim = warmup // 2, sim // 2
+        warmup, sim = trace_window(workload, config.warmup_instructions,
+                                   config.sim_instructions)
         # the per-core config carries the (possibly halved) budgets so the
         # journaled requested_instructions matches what the core measures
         core_config = replace(config, params=params, asid=i,
@@ -324,8 +329,8 @@ def isolation_ipc(
     ``packed``/``validate`` knobs are honoured the same way a
     single-core run honours them.
     """
-    iso_config = replace(config, params=config.params.scaled_llc(cores))
-    warmup, sim = config.warmup_instructions, config.sim_instructions
-    if workload.suite.startswith("QMM"):
-        iso_config = replace(iso_config, warmup_instructions=warmup // 2, sim_instructions=sim // 2)
+    warmup, sim = trace_window(workload, config.warmup_instructions,
+                               config.sim_instructions)
+    iso_config = replace(config, params=config.params.scaled_llc(cores),
+                         warmup_instructions=warmup, sim_instructions=sim)
     return simulate(workload, iso_config, obs=obs).ipc

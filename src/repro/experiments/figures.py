@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.cpu.simulator import SimResult, simulate_policies
 from repro.experiments.metrics import average, geomean, geomean_speedup, speedup_percent
@@ -392,7 +392,6 @@ def fig19_multicore(
     jobs: int = 1,
     cache=None,
     obs=None,
-    shm: Optional[bool] = None,
     packed: bool = True,
     validate: bool = False,
     progress=None,
@@ -442,11 +441,10 @@ def fig19_multicore(
         for policy in policies
         for i, mix in enumerate(mixes)
     ]
-    with grid_session(jobs, shm):
+    with grid_session(jobs):
         iso_flat = run_cells(iso_cells, jobs=jobs, cache=cache, obs=obs,
-                             shm=shm, progress=progress)
-        mix_flat = run_mix_cells(mix_cells, jobs=jobs, obs=obs, shm=shm,
-                                 progress=progress)
+                             progress=progress)
+        mix_flat = run_mix_cells(mix_cells, jobs=jobs, obs=obs, progress=progress)
     names = list(unique)
     iso_ipc = {
         (policy, name): iso_flat[p * len(names) + n].ipc

@@ -34,19 +34,22 @@ handful of heavyweight DRIPPER/PPF cells amid cheap discard ones — this
 keeps the long poles from landing last and serialising the batch tail; on
 uniform grids it degrades to the old largest-chunk-first order.
 
-With ``shm`` enabled (the default for ``jobs>1``) the parent packs each
-workload of the grid exactly once and publishes the columns through a
+Under ``jobs>1`` the parent packs each workload of the grid exactly once
+and publishes the columns through a
 :class:`~repro.workloads.shm.SharedPackStore`; chunks carry their workload's
 :class:`~repro.workloads.shm.PackHandle` and the workers replay zero-copy
 views instead of repacking per process.  Cells whose workload cannot be
-published (no cross-process identity, empty pack) simply run exactly as
-before — shm is a pure transport optimisation on top of the bit-identical
-packed fast path.
+published (no cross-process identity, empty pack) fall back to
+worker-local packing — the store is a pure transport optimisation on top of
+the bit-identical packed fast path.  :func:`run_cells` and
+:func:`run_mix_cells` share this pool path (:func:`_run_on_pool`); each
+only plans its own chunks.
 
-:func:`grid_session` keeps one worker pool (and one pack store) alive across
-several ``run_cells`` batches — ``run_policies`` and the sweeps wrap their
-batches in it, so a multi-sweep grid forks once instead of once per sweep
-point.
+Every parallel batch builds its own pool and store unless it runs inside a
+:func:`grid_session`, which keeps one of each alive across several batches
+— ``fig19_multicore`` wraps its isolation and mix batches in one, and a
+caller running several sweeps can do the same, so the grid forks once
+instead of once per batch.
 
 Determinism: a simulation is a pure function of (workload identity + seed,
 config) — trace generation, large-page allocation, and every replacement
@@ -90,6 +93,7 @@ from repro.params import SystemParams
 from repro.workloads.packed import clear_pack_cache
 from repro.workloads.registry import by_name
 from repro.workloads.shm import PackHandle, SharedPackStore, install_attachments
+from repro.workloads.trace import trace_window
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cpu.multicore import MixResult
@@ -272,7 +276,7 @@ def execute_cells(cells: Sequence[Cell], *, obs: Optional["Observability"] = Non
     return results  # type: ignore[return-value]
 
 
-def _policy_of(cell: Cell) -> str:
+def _policy_of(cell: "Cell | MixCell") -> str:
     return cell.policy or cell.spec.policy
 
 
@@ -294,7 +298,7 @@ def _workload_groups(cells: Sequence[Cell], indices: Iterable[int]) -> list[list
     return list(groups.values())
 
 
-def _account_cells(results: Sequence[SimResult], wall: float) -> None:
+def _account_cells(results: Sequence["SimResult | MixResult"], wall: float) -> None:
     """Grid metrics for cells that ran together in ``wall`` seconds (split evenly)."""
     cells, instructions, wall_seconds, cell_seconds = _grid_metrics()
     pid = str(os.getpid())
@@ -351,14 +355,16 @@ def _chunk_obs() -> Optional["Observability"]:
 
 
 def _run_chunk_worker(
-    items: Sequence[tuple[int, Cell]],
+    execute: Callable[..., list],
+    items: Sequence[tuple[int, Any]],
     handles: Sequence[PackHandle],
     use_journal: bool,
     force_packed: bool,
     trace_dir: Optional[str] = None,
-) -> tuple[list[tuple[int, SimResult]], MetricsSnapshot]:
-    """Run one workload-affine chunk of cells in this worker process.
+) -> tuple[list[tuple[int, Any]], MetricsSnapshot]:
+    """Run one chunk of cells in this worker process through ``execute``.
 
+    ``execute`` is :func:`execute_cells` or :func:`execute_mix_cells`.
     Returns the chunk's results plus a metrics *delta* — everything this
     worker's registry accumulated during the chunk, relative to a snapshot
     taken at entry.  Deltas are commutative, so the parent can merge them in
@@ -376,10 +382,9 @@ def _run_chunk_worker(
     mark = registry.snapshot()
     obs = _chunk_obs() if use_journal else None
     try:
-        indices = [i for i, _ in items]
-        results = execute_cells([cell for _, cell in items], obs=obs,
-                                force_packed=force_packed)
-        out = list(zip(indices, results))
+        results = execute([cell for _, cell in items], obs=obs,
+                          force_packed=force_packed)
+        out = [(i, result) for (i, _), result in zip(items, results)]
     finally:
         if obs is not None:
             obs.close()
@@ -398,10 +403,9 @@ def _run_chunk_worker(
 class _GridSession:
     """One worker pool + pack store + shard dir, reusable across batches."""
 
-    def __init__(self, jobs: int, shm: bool):
+    def __init__(self, jobs: int):
         self.jobs = jobs
-        self.shm = shm
-        self.store: Optional[SharedPackStore] = SharedPackStore() if shm else None
+        self.store = SharedPackStore()
         self.shard_dir = tempfile.mkdtemp(prefix="repro-shards-")
         # trace shards live in a subdirectory so the journal's shard merge
         # (non-recursive glob over shard_dir) never sees them
@@ -412,11 +416,11 @@ class _GridSession:
     def pool(self) -> ProcessPoolExecutor:
         """The (lazily forked) worker pool; initial handles ride along."""
         if self._pool is None:
-            handles = tuple(self.store.handles()) if self.store is not None else ()
             self._pool = ProcessPoolExecutor(
                 max_workers=self.jobs,
                 initializer=_init_worker,
-                initargs=(self.shard_dir, handles, current_tracer() is not None),
+                initargs=(self.shard_dir, tuple(self.store.handles()),
+                          current_tracer() is not None),
             )
         return self._pool
 
@@ -425,8 +429,7 @@ class _GridSession:
         if self._pool is not None:
             self._pool.shutdown()
             self._pool = None
-        if self.store is not None:
-            self.store.close()
+        self.store.close()
         shutil.rmtree(self.shard_dir, ignore_errors=True)
 
 
@@ -434,19 +437,19 @@ _SESSION: Optional[_GridSession] = None
 
 
 @contextmanager
-def grid_session(jobs: int = 1, shm: Optional[bool] = None) -> Iterator[Optional[_GridSession]]:
-    """Reuse one pool/pack store across every ``run_cells`` batch inside.
+def grid_session(jobs: int = 1) -> Iterator[Optional[_GridSession]]:
+    """Reuse one pool/pack store across every parallel batch inside.
 
-    ``run_policies`` and the sweeps wrap their batches in this, so a grid
-    spanning several sweep points forks its workers once and publishes each
-    workload's pack once.  Nesting is a no-op (the outermost session wins),
-    as is ``jobs<=1``.  ``shm=None`` means "on for parallel runs".
+    A grid of several ``run_cells``/``run_mix_cells`` batches (Fig. 19's
+    isolation and mix batches, several sweeps) forks its workers once and
+    publishes each workload's pack once.  Nesting is a no-op (the outermost
+    session wins), as is ``jobs<=1``.
     """
     global _SESSION
     if _SESSION is not None or jobs <= 1:
         yield _SESSION
         return
-    session = _GridSession(jobs, shm if shm is not None else True)
+    session = _GridSession(jobs)
     _SESSION = session
     try:
         yield session
@@ -519,6 +522,88 @@ def chunk_cost(cells: Sequence[Any], indices: Sequence[int],
         for i in indices)
 
 
+def _publish(store: SharedPackStore, workload: Any, warmup: int,
+             sim: int) -> tuple[tuple[PackHandle, ...], int]:
+    """Publish one workload's pack; returns its handles and record count.
+
+    Unpublishable packs yield no handle, and their window stands in for the
+    record count (records ≈ instructions for gap-light traces).
+    """
+    handle = store.publish(workload, warmup, sim)
+    if handle is None:
+        return (), warmup + sim
+    return (handle,), handle.n_records
+
+
+#: one planned chunk: (cell indices, pack handles, force_packed, cost)
+_Chunk = tuple[list[int], tuple[PackHandle, ...], bool, float]
+
+
+def _run_on_pool(
+    cells: Sequence[Any],
+    workers: int,
+    plan: Callable[[SharedPackStore], list[_Chunk]],
+    execute: Callable[..., list],
+    finish: Callable[[int, Any], None],
+    obs: Optional["Observability"],
+    prog: Optional[GridProgress],
+) -> None:
+    """Run a batch's chunks on the grid session's worker pool.
+
+    ``plan(store)`` publishes the batch's packs and returns its chunks;
+    they dispatch costliest-first to :func:`_run_chunk_worker`, which runs
+    each through ``execute``.  ``finish(i, result)`` lands every result as
+    its chunk completes.  Worker metric deltas, journal shards and trace
+    shards are merged into the parent's registry, journal and tracer.
+    Without an enclosing :func:`grid_session` the batch builds (and closes)
+    its own session of ``workers`` processes.
+    """
+    if obs is not None and (obs.timeline is not None or obs.probe is not None):
+        raise ValueError(
+            "timeline/probe instruments are in-process only; run with jobs=1 "
+            "or pass an Observability bundle with just a journal"
+        )
+    journal = obs.journal if obs is not None else None
+    session = _SESSION
+    ephemeral = session is None
+    if ephemeral:
+        session = _GridSession(workers)
+    try:
+        chunks = sorted(plan(session.store), key=lambda c: -c[3])  # costliest first
+        pool = session.pool()
+        trace_dir = session.trace_dir if current_tracer() is not None else None
+        futures = {
+            pool.submit(
+                _run_chunk_worker, execute, [(i, cells[i]) for i in piece],
+                handles, journal is not None, force_packed, trace_dir,
+            ): piece
+            for piece, handles, force_packed, _cost in chunks
+        }
+        registry = get_metrics()
+        for future in as_completed(futures):
+            try:
+                landed, delta = future.result()
+            except BaseException as exc:
+                if prog is not None:
+                    prog.cell_failed(futures[future], exc)
+                raise
+            # deltas are commutative/associative, so completion order —
+            # which varies run to run — cannot change the merged totals
+            registry.merge(delta)
+            for i, result in landed:
+                finish(i, result)
+        if journal is not None:
+            from repro.obs.journal import merge_shards
+
+            obs.runs += merge_shards(journal, session.shard_dir, consume=True)
+    finally:
+        tracer = current_tracer()
+        if tracer is not None:
+            tracer.absorb_shards(session.trace_dir)
+        if ephemeral:
+            session.close()
+
+
 def run_cells(
     cells: Sequence[Cell],
     *,
@@ -526,7 +611,6 @@ def run_cells(
     cache: Optional[ResultCache] = None,
     obs: Optional["Observability"] = None,
     on_result: Optional[ResultHook] = None,
-    shm: Optional[bool] = None,
     progress: Optional[ProgressSink] = None,
 ) -> list[SimResult]:
     """Execute a batch of cells; results come back in input order.
@@ -536,10 +620,6 @@ def run_cells(
     are served from the freshly written entry (they count as cache hits).
     Only simulated cells are journaled — the journal stays a log of actual
     simulations, while cache stats account for the saved ones.
-
-    ``shm=None`` enables the shared pack store whenever ``jobs>1`` (pass
-    ``False`` to force per-worker packing); inside a :func:`grid_session`
-    the session's setting wins.
 
     ``progress`` (see :mod:`repro.obs.progress`) receives one structured
     event per grid milestone: batch start, each landed cell (with ETA and
@@ -605,69 +685,21 @@ def run_cells(
             for i, result in zip(group, execute_cells([cells[i] for i in group], obs=obs)):
                 finish(i, result)
     else:
-        if obs is not None and (obs.timeline is not None or obs.probe is not None):
-            raise ValueError(
-                "timeline/probe instruments are in-process only; run with jobs=1 "
-                "or pass an Observability bundle with just a journal"
-            )
-        journal = obs.journal if obs is not None else None
-        session = _SESSION
-        ephemeral = session is None
-        if ephemeral:
-            session = _GridSession(workers, shm if shm is not None else True)
-        try:
-            groups = _affine_groups(cells, pending)
+        def plan(store: SharedPackStore) -> list[_Chunk]:
             # split each workload's run into chunks small enough to load-
             # balance, but never split a chunk across workloads
             chunk_size = max(1, -(-len(pending) // (workers * 2)))
-            chunks: list[tuple[list[int], Optional[PackHandle], float]] = []
-            for indices, workload, warmup, sim in groups:
-                handle = None
-                if session.store is not None:
-                    handle = session.store.publish(workload, warmup, sim)
-                # pack length when published; the window is the proxy
-                # otherwise (records ≈ instructions for gap-light traces)
-                records = handle.n_records if handle is not None else warmup + sim
+            chunks: list[_Chunk] = []
+            for indices, workload, warmup, sim in _affine_groups(cells, pending):
+                handles, records = _publish(store, workload, warmup, sim)
                 for at in range(0, len(indices), chunk_size):
                     piece = indices[at:at + chunk_size]
-                    chunks.append((piece, handle, chunk_cost(cells, piece, records)))
-            chunks.sort(key=lambda c: -c[2])  # costliest first
-            pool = session.pool()
-            tracing = current_tracer() is not None
-            futures = {
-                pool.submit(
-                    _run_chunk_worker,
-                    [(i, cells[i]) for i in piece],
-                    (handle,) if handle is not None else (),
-                    journal is not None,
-                    handle is not None,
-                    session.trace_dir if tracing else None,
-                ): piece
-                for piece, handle, _cost in chunks
-            }
-            registry = get_metrics()
-            for future in as_completed(futures):
-                try:
-                    landed, delta = future.result()
-                except BaseException as exc:
-                    if prog is not None:
-                        prog.cell_failed(futures[future], exc)
-                    raise
-                # deltas are commutative/associative, so completion order —
-                # which varies run to run — cannot change the merged totals
-                registry.merge(delta)
-                for i, result in landed:
-                    finish(i, result)
-            if journal is not None:
-                from repro.obs.journal import merge_shards
+                    # a shipped handle means the worker replays the attached pack
+                    chunks.append((piece, handles, bool(handles),
+                                   chunk_cost(cells, piece, records)))
+            return chunks
 
-                obs.runs += merge_shards(journal, session.shard_dir, consume=True)
-        finally:
-            tracer = current_tracer()
-            if tracer is not None:
-                tracer.absorb_shards(session.trace_dir)
-            if ephemeral:
-                session.close()
+        _run_on_pool(cells, workers, plan, execute_cells, finish, obs, prog)
 
     missing = [i for i, r in enumerate(results) if r is None]
     if missing:  # pragma: no cover - defensive; every path above fills results
@@ -740,53 +772,23 @@ def execute_mix_cell(
     config = build_mix_config(cell)
     if force_packed and not config.packed:
         config.packed = True
-    policy = cell.policy or cell.spec.policy
     start = perf_counter()
     with trace_span("mix-cell", category="grid",
-                    mix=cell.mix_id, policy=policy, cores=len(workloads)):
+                    mix=cell.mix_id, policy=_policy_of(cell), cores=len(workloads)):
         if obs is not None:
             with obs.scoped(spec=asdict(cell.spec)):
                 result = simulate_mix(workloads, config, obs=obs,
                                       mix_id=cell.mix_id)
         else:
             result = simulate_mix(workloads, config, mix_id=cell.mix_id)
-    wall = perf_counter() - start
-    cells, instructions, wall_seconds, cell_seconds = _grid_metrics()
-    pid = str(os.getpid())
-    cells.inc(pid=pid)
-    instructions.inc(sum(r.instructions for r in result.results), pid=pid)
-    wall_seconds.inc(wall, pid=pid)
-    cell_seconds.observe(wall)
+    _account_cells([result], perf_counter() - start)
     return result
 
 
-def _run_mix_chunk_worker(
-    items: Sequence[tuple[int, MixCell]],
-    handles: Sequence[PackHandle],
-    use_journal: bool,
-    force_packed: bool,
-    trace_dir: Optional[str] = None,
-) -> tuple[list[tuple[int, "MixResult"]], MetricsSnapshot]:
-    """Run one mix chunk in this worker process (mirrors _run_chunk_worker)."""
-    if handles:
-        install_attachments(handles)
-    if trace_dir is not None and current_tracer() is None:
-        install_tracer(Tracer(role="worker"))
-    registry = get_metrics()
-    mark = registry.snapshot()
-    obs = _chunk_obs() if use_journal else None
-    try:
-        out = [(i, execute_mix_cell(cell, obs=obs, force_packed=force_packed))
-               for i, cell in items]
-    finally:
-        if obs is not None:
-            obs.close()
-    delta = registry.snapshot().delta(mark)
-    if trace_dir is not None:
-        tracer = current_tracer()
-        if tracer is not None:
-            tracer.flush_shard(trace_dir)
-    return out, delta
+def execute_mix_cells(cells: Sequence[MixCell], *, obs: Optional["Observability"] = None,
+                      force_packed: bool = False) -> list["MixResult"]:
+    """Run mix cells in the current process, one after another."""
+    return [execute_mix_cell(cell, obs=obs, force_packed=force_packed) for cell in cells]
 
 
 #: callback fired as each mix's result lands: (cell index, result, cached?)
@@ -799,7 +801,6 @@ def run_mix_cells(
     jobs: int = 1,
     obs: Optional["Observability"] = None,
     on_result: Optional[MixResultHook] = None,
-    shm: Optional[bool] = None,
     progress: Optional[ProgressSink] = None,
 ) -> list["MixResult"]:
     """Execute a batch of mix cells; results come back in input order.
@@ -822,93 +823,39 @@ def run_mix_cells(
     if prog is not None:
         prog.start(len(cells), 0)
 
-    def _policy(i: int) -> str:
-        return cells[i].policy or cells[i].spec.policy
-
     def finish(i: int, result: "MixResult") -> None:
         results[i] = result
         if on_result is not None:
             on_result(i, result, False)
         if prog is not None:
-            prog.cell_finish(
-                i, cells[i].label(), _policy(i), cached=False,
-                instructions=sum(r.instructions for r in result.results))
+            prog.cell_finish(i, cells[i].label(), _policy_of(cells[i]), cached=False,
+                             instructions=result.instructions)
 
     workers = min(jobs, len(cells))
     if workers <= 1:
         for i in range(len(cells)):
             if prog is not None:
-                prog.cell_start(i, cells[i].label(), _policy(i))
+                prog.cell_start(i, cells[i].label(), _policy_of(cells[i]))
             finish(i, execute_mix_cell(cells[i], obs=obs))
     else:
-        if obs is not None and (obs.timeline is not None or obs.probe is not None):
-            raise ValueError(
-                "timeline/probe instruments are in-process only; run with jobs=1 "
-                "or pass an Observability bundle with just a journal"
-            )
-        journal = obs.journal if obs is not None else None
-        session = _SESSION
-        ephemeral = session is None
-        if ephemeral:
-            session = _GridSession(workers, shm if shm is not None else True)
-        try:
-            chunks: list[tuple[int, tuple[PackHandle, ...], float]] = []
+        def plan(store: SharedPackStore) -> list[_Chunk]:
+            chunks: list[_Chunk] = []
             for i, cell in enumerate(cells):
-                handles: list[PackHandle] = []
-                config = build_mix_config(cell)
-                weight = policy_cost_weight(cell.policy or cell.spec.policy)
+                weight = policy_cost_weight(_policy_of(cell))
+                handles: tuple[PackHandle, ...] = ()
                 cost = 0.0
                 for workload in cell.resolve_workloads():
-                    warmup, sim = (config.warmup_instructions,
-                                   config.sim_instructions)
-                    if workload.suite.startswith("QMM"):
-                        warmup, sim = warmup // 2, sim // 2
-                    handle = None
-                    if session.store is not None:
-                        handle = session.store.publish(workload, warmup, sim)
-                        if handle is not None:
-                            handles.append(handle)
-                    records = (handle.n_records if handle is not None
-                               else warmup + sim)
+                    warmup, sim = trace_window(workload, cell.spec.warmup_instructions,
+                                               cell.spec.sim_instructions)
+                    published, records = _publish(store, workload, warmup, sim)
+                    handles += published
                     cost += records * weight
-                chunks.append((i, tuple(handles), cost))
-            # a mix's wall-clock tracks its total per-core record mass —
-            # dispatch the heaviest mixes first so they never land last
-            chunks.sort(key=lambda c: -c[2])
-            pool = session.pool()
-            tracing = current_tracer() is not None
-            futures = {
-                pool.submit(
-                    _run_mix_chunk_worker,
-                    [(i, cells[i])],
-                    handles,
-                    journal is not None,
-                    True,  # workers always run the packed mix loop
-                    session.trace_dir if tracing else None,
-                ): [i]
-                for i, handles, _cost in chunks
-            }
-            registry = get_metrics()
-            for future in as_completed(futures):
-                try:
-                    landed, delta = future.result()
-                except BaseException as exc:
-                    if prog is not None:
-                        prog.cell_failed(futures[future], exc)
-                    raise
-                registry.merge(delta)
-                for i, result in landed:
-                    finish(i, result)
-            if journal is not None:
-                from repro.obs.journal import merge_shards
+                # a mix's wall-clock tracks its total per-core record mass;
+                # workers always run the packed mix loop
+                chunks.append(([i], handles, True, cost))
+            return chunks
 
-                obs.runs += merge_shards(journal, session.shard_dir, consume=True)
-        finally:
-            tracer = current_tracer()
-            if tracer is not None:
-                tracer.absorb_shards(session.trace_dir)
-            if ephemeral:
-                session.close()
+        _run_on_pool(cells, workers, plan, execute_mix_cells, finish, obs, prog)
 
     missing = [i for i, r in enumerate(results) if r is None]
     if missing:  # pragma: no cover - defensive; every path above fills results

@@ -15,6 +15,7 @@ from repro.core.policies import DiscardPgc, DiscardPtw, PageCrossPolicy, PermitP
 from repro.core.ppf import make_ppf, make_ppf_dthr
 from repro.cpu.simulator import SimConfig, SimResult, simulate
 from repro.workloads.synthetic import SyntheticWorkload
+from repro.workloads.trace import trace_window
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.cache import ResultCache
@@ -107,9 +108,8 @@ class RunSpec:
     def config_for(self, workload: SyntheticWorkload) -> SimConfig:
         """Materialise a SimConfig (QMM workloads run half-length traces)."""
         config = self.base_config()
-        if workload.suite.startswith("QMM"):
-            config.warmup_instructions //= 2
-            config.sim_instructions //= 2
+        config.warmup_instructions, config.sim_instructions = trace_window(
+            workload, config.warmup_instructions, config.sim_instructions)
         return config
 
 
@@ -137,40 +137,24 @@ def run_many(
     obs: Optional["Observability"] = None,
     jobs: int = 1,
     cache: Optional["ResultCache"] = None,
-    shm: Optional[bool] = None,
 ) -> list[SimResult]:
     """Run a spec across workloads (optionally reporting per-run progress).
 
-    ``jobs`` > 1 fans the runs out to worker processes and ``cache`` serves
-    previously simulated cells from disk (see
-    :mod:`repro.experiments.parallel`); results always come back in workload
-    order, identical to a serial run.  With parallel/cached execution,
-    ``progress`` fires in completion order rather than input order.
-    ``shm=None`` shares packed traces through the zero-copy store whenever
-    ``jobs>1`` (``False`` forces per-worker packing).
+    The runs are one :func:`~repro.experiments.parallel.run_cells` batch:
+    ``jobs`` > 1 fans them out to worker processes and ``cache`` serves
+    previously simulated cells from disk; results always come back in
+    workload order, identical to a serial run.  ``progress`` fires as each
+    result lands (completion order under parallel/cached execution).
     """
-    if jobs == 1 and cache is None:
-        results = []
-        for workload in workloads:
-            result = run_one(workload, spec, obs=obs)
-            results.append(result)
-            if progress is not None:
-                progress(workload.name, result)
-        return results
+    from repro.experiments.parallel import cell_for, run_cells
 
-    from repro.experiments.parallel import cell_for, grid_session, run_cells
-
-    cells = [cell_for(workload, spec) for workload in workloads]
     on_result = None
     if progress is not None:
-        names = [w.name for w in workloads]
-
         def on_result(index: int, result: SimResult, cached: bool) -> None:
-            progress(names[index], result)
+            progress(workloads[index].name, result)
 
-    with grid_session(jobs, shm):
-        return run_cells(cells, jobs=jobs, cache=cache, obs=obs,
-                         on_result=on_result, shm=shm)
+    return run_cells([cell_for(workload, spec) for workload in workloads],
+                     jobs=jobs, cache=cache, obs=obs, on_result=on_result)
 
 
 def run_policies(
@@ -182,7 +166,6 @@ def run_policies(
     obs: Optional["Observability"] = None,
     jobs: int = 1,
     cache: Optional["ResultCache"] = None,
-    shm: Optional[bool] = None,
     progress: Optional["ProgressSink"] = None,
 ) -> dict[str, list[SimResult]]:
     """Run several policies over the same workloads; returns policy -> results.
@@ -201,16 +184,14 @@ def run_policies(
     if prefetcher is not None:
         spec = replace(spec, prefetcher=prefetcher)
     policy_specs = {policy: replace(spec, policy=policy) for policy in policies}
-    from repro.experiments.parallel import cell_for, grid_session, run_cells
+    from repro.experiments.parallel import cell_for, run_cells
 
     cells = [
         cell_for(workload, policy_spec)
         for policy_spec in policy_specs.values()
         for workload in workloads
     ]
-    with grid_session(jobs, shm):
-        flat = run_cells(cells, jobs=jobs, cache=cache, obs=obs, shm=shm,
-                         progress=progress)
+    flat = run_cells(cells, jobs=jobs, cache=cache, obs=obs, progress=progress)
     n = len(workloads)
     return {
         policy: flat[i * n:(i + 1) * n]

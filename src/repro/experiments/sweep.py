@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from repro.cpu.simulator import SimResult
 from repro.experiments.metrics import geomean_speedup, speedup_percent
-from repro.experiments.parallel import Cell, cell_for, grid_session, run_cells
+from repro.experiments.parallel import Cell, cell_for, run_cells
 from repro.experiments.runner import RunSpec
 from repro.params import DEFAULT_PARAMS, SystemParams, TlbParams
 from repro.workloads.synthetic import SyntheticWorkload
@@ -68,15 +68,15 @@ def sweep_parameter(
     obs: Optional["Observability"] = None,
     jobs: int = 1,
     cache: Optional["ResultCache"] = None,
-    shm: Optional[bool] = None,
     progress: Optional["ProgressSink"] = None,
 ) -> dict[int, dict[str, float]]:
     """Sweep one parameter; returns {value: {policy: geomean % over discard}}.
 
     With an observability bundle every cell's run is journaled, tagged with
     its sweep coordinates (``context.sweep``) scoped to that cell.  The whole
-    sweep runs inside one :func:`grid_session`: the worker pool forks once
-    and every sweep point replays the same shared packs.
+    sweep is one :func:`~repro.experiments.parallel.run_cells` batch: the
+    worker pool forks once and every sweep point replays the same shared
+    packs.
     """
     spec = base_spec or RunSpec(prefetcher=prefetcher)
     grid = [(value, policy) for value in values for policy in ("discard", *policies)]
@@ -92,9 +92,7 @@ def sweep_parameter(
             )
             for workload in workloads
         )
-    with grid_session(jobs, shm):
-        flat = run_cells(cells, jobs=jobs, cache=cache, obs=obs, shm=shm,
-                         progress=progress)
+    flat = run_cells(cells, jobs=jobs, cache=cache, obs=obs, progress=progress)
     n = len(workloads)
     results: dict[tuple[int, str], list[SimResult]] = {
         pair: flat[i * n:(i + 1) * n] for i, pair in enumerate(grid)
@@ -119,7 +117,6 @@ def sweep_epoch_length(
     obs: Optional["Observability"] = None,
     jobs: int = 1,
     cache: Optional["ResultCache"] = None,
-    shm: Optional[bool] = None,
     progress: Optional["ProgressSink"] = None,
 ) -> dict[int, float]:
     """Sensitivity of DRIPPER to the adaptive scheme's epoch length.
@@ -143,9 +140,7 @@ def sweep_epoch_length(
             )
             for workload in workloads
         )
-    with grid_session(jobs, shm):
-        flat = run_cells(cells, jobs=jobs, cache=cache, obs=obs, shm=shm,
-                         progress=progress)
+    flat = run_cells(cells, jobs=jobs, cache=cache, obs=obs, progress=progress)
     n = len(workloads)
     base_runs = flat[:n]
     return {

@@ -496,8 +496,10 @@ def check_mix_packed_matches_generator(*, warmup: int, sim: int,
     """
     from repro.cpu.multicore import simulate_mix
     from repro.workloads.registry import seen_workloads
+    from repro.workloads.trace import trace_window
 
-    qmm = next(w for w in seen_workloads() if w.suite.startswith("QMM"))
+    qmm = next(w for w in seen_workloads()
+               if trace_window(w, warmup, sim) != (warmup, sim))
     names = ["astar", "hmmer", "mcf", "lbm"]
     mix = [by_name(name) for name in names[:cores - 1]] + [qmm]
     tag = "+".join(w.name for w in mix)
@@ -530,9 +532,9 @@ def check_shm_grid_matches_serial(workload_names: Sequence[str], *,
     """The shared-memory grid path equals serial execution, and cleans up.
 
     Runs the (workload × policy) grid once serially and once on a worker
-    pool with the zero-copy pack store (``shm=True``): workers attach the
-    parent's published segments instead of re-packing, and must produce
-    field-identical results.  Afterwards no ``repro-pack-*`` segment may
+    pool, whose session always carries the zero-copy pack store: workers
+    attach the parent's published segments instead of re-packing, and must
+    produce field-identical results.  Afterwards no ``repro-pack-*`` segment may
     remain in ``/dev/shm`` — a leak means a store outlived its session.
     """
     from repro.experiments.parallel import grid_session
@@ -544,8 +546,8 @@ def check_shm_grid_matches_serial(workload_names: Sequence[str], *,
         for policy in policies
     ]
     serial = run_cells(cells, jobs=1)
-    with grid_session(max(2, jobs), True):
-        shared = run_cells(cells, jobs=max(2, jobs), shm=True)
+    with grid_session(max(2, jobs)):
+        shared = run_cells(cells, jobs=max(2, jobs))
     name = f"shm-grid-vs-serial[{len(cells)} cells]"
     for i, (a, b) in enumerate(zip(serial, shared)):
         diffs = result_diff(a, b)

@@ -47,3 +47,14 @@ class Workload(Protocol):
 def instructions_in(record: Record) -> int:
     """Instructions a record accounts for (itself plus its gap)."""
     return 1 + record[3]
+
+
+def trace_window(workload: Workload, warmup: int, sim: int) -> tuple[int, int]:
+    """The (warm-up, measured) instruction window ``workload`` runs.
+
+    QMM traces run half-length windows, mirroring the paper's shorter
+    warm-up and simulation for the Qualcomm traces (Section IV-A1).
+    """
+    if workload.suite.startswith("QMM"):
+        return warmup // 2, sim // 2
+    return warmup, sim

@@ -69,6 +69,13 @@ class TestSimulateMix:
         mixed = simulate_mix([victim, *hogs], quick_config())
         assert mixed.results[0].ipc < iso
 
+    def test_isolation_ipc_runs_qmm_at_half_window(self):
+        qmm = qmm_workload()
+        config = quick_config()
+        halved = replace(config, params=config.params.scaled_llc(4),
+                         warmup_instructions=500, sim_instructions=2_000)
+        assert isolation_ipc(qmm, config, cores=4) == simulate(qmm, halved).ipc
+
     def test_deterministic(self):
         mix = [workload(f"w{i}", i + 1, footprint_pages=128) for i in range(2)]
         a = simulate_mix(mix, quick_config())

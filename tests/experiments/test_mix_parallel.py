@@ -55,7 +55,7 @@ class TestMixSerialParallelEquivalence:
             for policy in ("discard", "dripper")
         ]
         serial = run_mix_cells(cells, jobs=1)
-        with grid_session(2, True):
+        with grid_session(2):
             parallel = run_mix_cells(cells, jobs=2)
         for a, b in zip(serial, parallel):
             assert a.results == b.results

@@ -15,6 +15,7 @@ from repro.experiments.parallel import (
 from repro.experiments.runner import RunSpec, run_many, run_policies
 from repro.experiments.sweep import sweep_epoch_length, sweep_parameter
 from repro.obs import Observability, RunJournal, read_journal
+from repro.obs.metrics import get_metrics
 from repro.workloads import by_name
 
 FAST = RunSpec(warmup_instructions=1_000, sim_instructions=3_000)
@@ -23,6 +24,17 @@ GRID_WORKLOADS = ("astar", "hmmer", "mcf", "lbm")
 
 def _workloads(names=GRID_WORKLOADS):
     return [by_name(name) for name in names]
+
+
+class _NameOnly:
+    """A registry workload behind a picklable wrapper with no seed or path."""
+
+    def __init__(self, name: str):
+        self.name = name
+        self.suite = by_name(name).suite
+
+    def generate(self):
+        return by_name(self.name).generate()
 
 
 class TestCellBasics:
@@ -269,7 +281,7 @@ class TestSharedMemoryGrid:
             for p in ("discard", "dripper")
         ]
         serial = run_cells(cells, jobs=1)
-        shared = run_cells(cells, jobs=2, shm=True)
+        shared = run_cells(cells, jobs=2)
         assert shared == serial
         assert live_segments() == []
 
@@ -279,22 +291,54 @@ class TestSharedMemoryGrid:
         cells = [cell_for(by_name("astar"), FAST, policy=p)
                  for p in ("discard", "permit")]
         serial = run_cells(cells, jobs=1)
-        with grid_session(2, True) as session:
+        with grid_session(2) as session:
             first = run_cells(cells, jobs=2)
             second = run_cells(cells, jobs=2)
             assert len(session.store.handles()) == 1  # published once
         assert first == serial and second == serial
         assert live_segments() == []
 
-    def test_no_shm_still_matches_serial(self):
-        cells = [cell_for(by_name(w), FAST) for w in ("astar", "hmmer")]
-        assert run_cells(cells, jobs=2, shm=False) == run_cells(cells, jobs=1)
+    def test_unpublishable_workload_packs_in_workers(self):
+        # no seed or path: the store cannot publish it, so each worker packs
+        # its own copy — and must still match the serial run
+        cells = [cell_for(_NameOnly(w), FAST) for w in ("astar", "hmmer")]
+        published = get_metrics().counter("shm.published")
+        before = published.total()
+        shared = run_cells(cells, jobs=2)
+        assert published.total() == before
+        assert shared == run_cells(cells, jobs=1)
+
+    def test_workers_run_the_published_packs(self):
+        # a batch must publish each pack at the window its cores run (QMM
+        # cores run half-length windows); a wrong window is invisible in
+        # the results because the workers would silently repack
+        from repro.experiments.parallel import mix_cell_for, run_mix_cells
+        from repro.workloads.packed import get_packed
+        from repro.workloads.trace import trace_window
+
+        workloads = _workloads(("qmm_int_13", "astar"))
+        for workload in workloads:
+            get_packed(workload, *trace_window(
+                workload, FAST.warmup_instructions, FAST.sim_instructions))
+        registry = get_metrics()
+        mark = registry.snapshot()
+        run_cells([cell_for(w, FAST, policy=p) for w in workloads
+                   for p in ("discard", "permit")], jobs=2)
+        run_mix_cells([mix_cell_for(workloads, FAST, policy=p, mix_id=0)
+                       for p in ("discard", "permit")], jobs=2)
+        delta = registry.snapshot().delta(mark).counters
+
+        def total(name):
+            return sum(delta.get(name, {"series": {}})["series"].values())
+
+        assert total("pack_cache.misses") == 0
+        assert total("pack_cache.shared_hits") > 0
 
     def test_run_policies_shm_matches_serial(self):
         workloads = _workloads(("astar", "hmmer"))
         serial = run_policies(workloads, ["discard", "permit"], base_spec=FAST)
         shared = run_policies(workloads, ["discard", "permit"], base_spec=FAST,
-                              jobs=2, shm=True)
+                              jobs=2)
         assert shared == serial
 
     def test_persistent_session_journal_not_double_counted(self, tmp_path):
@@ -302,7 +346,7 @@ class TestSharedMemoryGrid:
         obs = Observability(journal=RunJournal(journal))
         cells = [cell_for(by_name("astar"), FAST, policy=p)
                  for p in ("discard", "permit")]
-        with grid_session(2, True):
+        with grid_session(2):
             run_cells(cells, jobs=2, obs=obs)
             run_cells(cells, jobs=2, obs=obs)
         obs.close()
