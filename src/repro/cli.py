@@ -20,23 +20,20 @@ each mix stepped in retire-clock order against a shared LLC+DRAM, reported
 as the weighted-speedup distribution over the first (baseline) policy.
 Isolation runs are ordinary grid cells — ``--cache-dir`` dedupes them
 across mixes and invocations — and ``--jobs`` fans whole mixes out to
-workers on packed cores (bit-identical to the serial generator loop).
+workers.  Every command runs the packed fast path (``RunSpec``'s default),
+which is bit-identical to the generator loop.
 
 ``run``, ``compare``, ``sweep``, and ``inspect`` accept ``--validate``, which
 attaches a runtime invariant checker to every simulation (conservation laws
 asserted per epoch and at collect time; a violation aborts the command with a
-counter snapshot).  The same four subcommands accept ``--packed``, which
-drives each simulation through the packed-trace fast path (records are
-pre-decoded into flat buffers and the drive loop is batched; results are
-bit-identical to the generator path, just faster).  ``validate`` runs the
-differential suite — determinism, parallel-vs-serial,
-discard-vs-source-suppression, epoch invariance, packed-vs-generator
-equality, per-run invariant passes, and mutation detection.
+counter snapshot).  ``validate`` runs the differential suite — determinism,
+parallel-vs-serial, discard-vs-source-suppression, epoch invariance,
+packed-vs-generator equality, per-run invariant passes, and mutation detection.
 
 ``run``, ``compare``, ``sweep``, and ``inspect`` accept observability flags:
 ``--timeline-out`` (per-epoch CSV/JSONL time series), ``--journal``
-(append-only JSONL run records), ``--profile`` (per-component wall-time
-breakdown of the hot paths), ``--json`` (machine-readable stdout),
+(append-only JSONL run records), ``--profile`` (each record-kernel section's
+share of the sampled CPU time, over every run), ``--json`` (machine-readable stdout),
 ``--metrics-out`` (process-wide counter/gauge/histogram snapshot as
 Prometheus text, or JSON when the path ends in ``.json``), and
 ``--trace-out`` (Chrome trace-event JSON of the run's spans — pack,
@@ -109,7 +106,6 @@ def _spec(args: argparse.Namespace, policy: str) -> RunSpec:
         sim_instructions=args.sim,
         large_page_fraction=args.large_pages,
         validate=getattr(args, "validate", False),
-        packed=getattr(args, "packed", False),
         sampling=_sampling_config(args),
     )
 
@@ -209,7 +205,16 @@ def _emit_obs(args: argparse.Namespace, obs: Optional[Observability]) -> None:
               file=sys.stderr)
     obs.close()
     if obs.probe is not None and not getattr(args, "json", False):
-        print(obs.probe.format_breakdown(wall_seconds=obs.last_wall_seconds))
+        print(obs.probe.format_breakdown())
+
+
+def _with_profile(payload: dict, obs: Optional[Observability]) -> dict:
+    """Add the probe's section shares over every run of the command."""
+    if obs is not None and obs.probe is not None:
+        payload["profile"] = {"samples": obs.probe.samples,
+                              "named_share": obs.probe.named_share,
+                              "sections": obs.probe.breakdown()}
+    return payload
 
 
 def _json_payload(workload, spec: RunSpec, result, obs: Optional[Observability]) -> dict:
@@ -226,9 +231,7 @@ def _json_payload(workload, spec: RunSpec, result, obs: Optional[Observability])
     }
     if obs is not None:
         payload["wall_seconds"] = obs.last_wall_seconds
-        if obs.probe is not None:
-            payload["profile"] = obs.probe.breakdown()
-    return payload
+    return _with_profile(payload, obs)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -280,7 +283,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     base = results[0]
     speedups = [_speedup_cell(r, base) for r in results]
     if args.json:
-        print(json.dumps({
+        print(json.dumps(_with_profile({
             "workload": workload.name,
             "prefetcher": args.prefetcher,
             "baseline": args.policies[0],
@@ -290,7 +293,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
                  "pgc_useless": r.pgc_useless}
                 for r, s in zip(results, speedups)
             ],
-        }, indent=2))
+        }, obs), indent=2))
     else:
         rows = [
             (r.policy, f"{r.ipc:.4f}", format_pct(s) if s is not None else "n/a",
@@ -321,7 +324,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         warmup_instructions=args.warmup,
         sim_instructions=args.sim,
         validate=args.validate,
-        packed=args.packed,
         sampling=_sampling_config(args),
     )
     _setup_telemetry(args)
@@ -340,12 +342,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         )
         policies = list(args.policies)
     if args.json:
-        print(json.dumps({
+        print(json.dumps(_with_profile({
             "param": args.param,
             "prefetcher": args.prefetcher,
             "workloads": [w.name for w in workloads],
             "points": {str(v): data[v] for v in args.values},
-        }, indent=2))
+        }, obs), indent=2))
     else:
         rows = [
             (str(value), *(format_pct(data[value][p]) for p in policies))
@@ -491,7 +493,6 @@ def cmd_mix(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         cache=cache,
         obs=obs,
-        packed=args.packed,
         validate=args.validate,
         progress=_progress_sink(args),
     )
@@ -659,9 +660,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--validate", action="store_true",
                        help="attach the runtime invariant checker to every run "
                             "(abort with a counter snapshot on violation)")
-        p.add_argument("--packed", action="store_true",
-                       help="drive the simulation through the packed-trace fast "
-                            "path (bit-identical results, substantially faster)")
         p.add_argument("--sampling", type=_positive_int, default=None,
                        metavar="PHASES",
                        help="phase-sampled simulation: cluster the trace into "
@@ -697,7 +695,8 @@ def build_parser() -> argparse.ArgumentParser:
         g.add_argument("--journal", metavar="PATH", default=None,
                        help="append one JSONL run-journal record per run")
         g.add_argument("--profile", action="store_true",
-                       help="time the hot paths; print a per-component breakdown")
+                       help="sample the record kernel; print each section's "
+                            "share of the samples over every run")
         g.add_argument("--json", action="store_true",
                        help="emit machine-readable JSON on stdout")
         g.add_argument("--metrics-out", metavar="PATH", default=None,
@@ -738,8 +737,6 @@ def build_parser() -> argparse.ArgumentParser:
     swp_p.add_argument("--sim", type=int, default=60_000)
     swp_p.add_argument("--validate", action="store_true",
                        help="attach the runtime invariant checker to every run")
-    swp_p.add_argument("--packed", action="store_true",
-                       help="drive every run through the packed-trace fast path")
     swp_p.add_argument("--sampling", type=_positive_int, default=None,
                        metavar="PHASES",
                        help="phase-sample every sweep cell into PHASES phases "
@@ -767,8 +764,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "distribution over the first (baseline) policy.  "
                     "Isolation IPCs are content-addressed grid cells, so "
                     "--cache-dir dedupes them across mixes and invocations; "
-                    "--jobs dispatches whole mixes to workers on packed "
-                    "cores (bit-identical to the serial generator loop).",
+                    "--jobs dispatches whole mixes to worker processes.",
     )
     mix_p.add_argument("--mixes", type=_positive_int, default=4, metavar="N",
                        help="number of mixes (the paper runs 300)")
@@ -784,9 +780,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="mix-composition seed")
     mix_p.add_argument("--validate", action="store_true",
                        help="attach a runtime invariant checker to every core")
-    mix_p.add_argument("--packed", action="store_true",
-                       help="drive serial mixes through the packed mix loop "
-                            "(workers always use it; bit-identical results)")
     add_parallel_args(mix_p)
     g = mix_p.add_argument_group("observability")
     g.add_argument("--journal", metavar="PATH", default=None,

@@ -37,7 +37,6 @@ from repro.workloads.trace import BRANCH, DEPENDS, LOAD, MISPREDICT, STORE, TAKE
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.system_state import EpochStats as _EpochStats
-    from repro.obs.profiling import Probe
 
 
 class PgcStats:
@@ -163,11 +162,9 @@ class CoreEngine:
         self._measure_start_cycle = 0.0
         self.measuring = False
 
-        # observability seams: the hot paths call through these cached bound
-        # references (no attribute chain per call); enable_profiling swaps
-        # them for timed wrappers, so an unprofiled run pays nothing — not
-        # even a branch.  epoch_listener (if set) hears each finished epoch.
-        self.probe: Optional["Probe"] = None
+        # seams: the hot paths call through these cached bound references (no
+        # attribute chain per call), which an outside tracer may wrap.
+        # epoch_listener (if set) hears each finished epoch.
         self.epoch_listener: Optional[Callable[["CoreEngine", "_EpochStats"], None]] = None
         self._pf_on_access = l1d_prefetcher.on_access
         self._policy_decide = policy.decide
@@ -175,16 +172,6 @@ class CoreEngine:
         self._mem_load = hierarchy.load
         self._mem_store = hierarchy.store
         self._mem_ifetch = hierarchy.ifetch
-
-    def enable_profiling(self, probe: "Probe") -> None:
-        """Instrument the hot paths with per-component wall-time probes."""
-        self.probe = probe
-        self._pf_on_access = probe.timed("prefetcher", self.prefetcher.on_access)
-        self._policy_decide = probe.timed("policy.decide", self.policy.decide)
-        self._walk = probe.timed("page_walk", self.walker.walk)
-        self._mem_load = probe.timed("cache.load", self.hierarchy.load)
-        self._mem_store = probe.timed("cache.store", self.hierarchy.store)
-        self._mem_ifetch = probe.timed("cache.ifetch", self.hierarchy.ifetch)
 
     # ------------------------------------------------------------------
     # translation paths
@@ -240,7 +227,7 @@ class CoreEngine:
         through its cached seam and only pay this dispatch when the access
         actually produced candidates.
         """
-        trigger_page = trigger_vaddr >> PAGE_4K_SHIFT
+        trigger_page = trigger_vaddr >> PAGE_4K_SHIFT  # profile: prefetcher
         native_shift = trigger_tr.page_shift
         # hoisted loop invariants (this runs once per candidate-producing
         # access; inlined canonical() and Translation.physical())
@@ -265,7 +252,7 @@ class CoreEngine:
                 if l1d_sets[pline & l1d_set_mask].get(pline) is None:
                     prefetch_l1d(paddr, t)
                 continue
-            pgc.candidates += 1
+            pgc.candidates += 1  # profile: pgc-filter
             same_translation = (target >> native_shift) == trigger_native_vpn
             if same_translation:
                 pgc.same_translation += 1
@@ -281,7 +268,7 @@ class CoreEngine:
                 record = decision.record
             else:
                 record = None
-            if same_translation:
+            if same_translation:  # profile: dtlb+walks
                 # 4KB-cross within a 2MB page: translation already in hand
                 paddr = tr_base | (target & tr_off_mask)
                 trans_lat = 0.0
@@ -294,19 +281,19 @@ class CoreEngine:
                         trans_lat += self.stlb.latency
                 if tr is None:
                     if self.policy.requires_translation_hit:
-                        self.pgc.discarded += 1
+                        self.pgc.discarded += 1  # profile: pgc-filter
                         self.pgc.discarded_no_translation += 1
                         self.policy.on_discarded(target >> LINE_SHIFT, record)
                         continue
-                    walk = self._walk(target, t + trans_lat, speculative=True)
+                    walk = self._walk(target, t + trans_lat, speculative=True)  # profile: dtlb+walks
                     trans_lat += walk.latency
                     tr = walk.translation
                     self.stlb.insert(tr, from_prefetch=True)
                     self.dtlb.insert(tr, from_prefetch=True)
                 paddr = tr.physical(target)
-            self.pgc.issued += 1
+            self.pgc.issued += 1  # profile: prefetcher
             self.hierarchy.prefetch_l1d(paddr, t + trans_lat, pcb=True)
-            self.policy.on_issued(paddr >> LINE_SHIFT, record)
+            self.policy.on_issued(paddr >> LINE_SHIFT, record)  # profile: pgc-filter
 
     # ------------------------------------------------------------------
     # main per-record step

@@ -75,9 +75,9 @@ timeline scalars are flushed to the engine at every point the outside
 world may look at it — epoch rollovers, ``begin_measurement``, the finish
 event, and generator close — and only then.
 
-A profiled engine (``engine.probe`` set) bypasses the kernel: fusion would
-skip the probe's timed seams, so :func:`drive_packed` steps each record
-through :meth:`CoreEngine.step` instead.
+Each ``# profile: <section>`` comment opens the section that the sampling
+profiler (:class:`repro.obs.Probe`) charges its line and the following ones
+to, up to the next such comment.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ from repro.core.thresholds import AdaptiveThreshold, StaticThreshold
 from repro.core.update_buffers import TrainingRecord
 from repro.cpu.branch import DEFAULT_HISTORY_LENGTHS, HashedPerceptronBranchPredictor
 from repro.cpu.core import CoreEngine
-from repro.cpu.simulator import count_drive
+from repro.cpu.simulator import count_drive, raise_if_truncated
 from repro.mem.replacement import LruPolicy
 from repro.prefetch.next_line import NextLinePrefetcher
 from repro.vm.address import LINE_SHIFT, PAGE_4K_SHIFT, PAGE_2M_SHIFT, VA_MASK
@@ -188,7 +188,7 @@ def _make_fused_dispatch(engine: CoreEngine):
     S4 = PAGE_4K_SHIFT
 
     def dispatch(requests, trigger_vaddr, trigger_tr, t, pc):
-        trigger_page = trigger_vaddr >> S4
+        trigger_page = trigger_vaddr >> S4  # profile: prefetcher
         native_shift = trigger_tr.page_shift
         tr_base = trigger_tr.pfn << native_shift
         tr_off_mask = trigger_tr.page_bytes - 1
@@ -203,7 +203,7 @@ def _make_fused_dispatch(engine: CoreEngine):
                 if l1d_sets[pline & l1d_set_mask].get(pline) is None:
                     prefetch_l1d(paddr, t)
                 continue
-            pgc.candidates += 1
+            pgc.candidates += 1  # profile: pgc-filter
             same_translation = (target >> native_shift) == trigger_native_vpn
             if same_translation:
                 pgc.same_translation += 1
@@ -246,7 +246,7 @@ def _make_fused_dispatch(engine: CoreEngine):
                     pgc.discarded += 1
                     on_discarded(target >> LS, record)
                     continue
-            if same_translation:
+            if same_translation:  # profile: dtlb+walks
                 # 4KB-cross within a 2MB page: translation already in hand
                 paddr = tr_base | (target & tr_off_mask)
                 trans_lat = 0.0
@@ -259,19 +259,19 @@ def _make_fused_dispatch(engine: CoreEngine):
                         trans_lat += stlb_lat
                 if tr is None:
                     if requires_hit:
-                        pgc.discarded += 1
+                        pgc.discarded += 1  # profile: pgc-filter
                         pgc.discarded_no_translation += 1
                         on_discarded(target >> LS, record)
                         continue
-                    walk = walk_fn(target, t + trans_lat, speculative=True)
+                    walk = walk_fn(target, t + trans_lat, speculative=True)  # profile: dtlb+walks
                     trans_lat += walk.latency
                     tr = walk.translation
                     stlb_insert(tr, from_prefetch=True)
                     dtlb_insert(tr, from_prefetch=True)
                 paddr = tr.physical(target)
-            pgc.issued += 1
+            pgc.issued += 1  # profile: prefetcher
             prefetch_l1d(paddr, t + trans_lat, pcb=True)
-            on_issued(paddr >> LS, record)
+            on_issued(paddr >> LS, record)  # profile: pgc-filter
 
     return dispatch
 
@@ -382,12 +382,12 @@ def core_stepper(engine: CoreEngine, records: Iterable[Record], warm_limit: int,
     bound_t, bound_i = yield ("ready", 0.0)
     yield_above = bound_t if bound_i > core else nextafter(bound_t, _NEG_INF)
     try:
-        while True:
+        while True:  # profile: l1d-hit
             for pc, vaddr, flag, gap in records:
                 instructions = n = instructions + 1 + gap
 
                 # front end
-                fetch_t += (1 + gap) * fetch_cpi
+                fetch_t += (1 + gap) * fetch_cpi  # profile: front-end
                 iline = pc >> LS
                 if iline != last_iline:
                     last_iline = iline
@@ -473,7 +473,7 @@ def core_stepper(engine: CoreEngine, records: Iterable[Record], warm_limit: int,
                                 fetch_t += flat - l1i_lat
 
                 # dispatch: ROB occupancy constraint
-                limit = n - rob_entries
+                limit = n - rob_entries  # profile: l1d-hit
                 while rob_q and rob_q[0][0] <= limit:
                     rob_head_retire = rob_popleft()[1]
                 dispatch = fetch_t
@@ -488,7 +488,7 @@ def core_stepper(engine: CoreEngine, records: Iterable[Record], warm_limit: int,
 
                 # memory access
                 if flag & F_MEM:
-                    vpn = vaddr >> S4
+                    vpn = vaddr >> S4  # profile: dtlb+walks
                     entry = dtlb_sets[vpn & dtlb_mask].get((vpn, S4))
                     shift = S4
                     if entry is None:
@@ -512,7 +512,7 @@ def core_stepper(engine: CoreEngine, records: Iterable[Record], warm_limit: int,
                         trans_lat, tr = translate_data(vaddr, dispatch)
                         paddr = tr.physical(vaddr)
                         t_mem = dispatch + trans_lat
-                    line = paddr >> LS
+                    line = paddr >> LS  # profile: l1d-hit
                     dset = l1d_sets[line & l1d_mask]
                     blk = dset.get(line)
                     if flag & LOAD:
@@ -543,17 +543,17 @@ def core_stepper(engine: CoreEngine, records: Iterable[Record], warm_limit: int,
                             last_load_complete = complete
                             hit = True
                         else:
-                            mlat, hit = mem_load(paddr, t_mem)
+                            mlat, hit = mem_load(paddr, t_mem)  # profile: miss-path
                             complete = t_mem + mlat
                             last_load_complete = complete
                             if not hit:
-                                policy_on_demand_miss(vaddr >> LS)
-                                pf_on_fill(vaddr, mlat)
+                                policy_on_demand_miss(vaddr >> LS)  # profile: pgc-filter
+                                pf_on_fill(vaddr, mlat)  # profile: prefetcher
                                 if l2pf is not None:
                                     for l2line in l2pf.on_access(paddr >> LS, t_mem):
                                         prefetch_l2(l2line << LS, t_mem)
                     else:
-                        if blk is not None and l1d_fused:
+                        if blk is not None and l1d_fused:  # profile: l1d-hit
                             # fused L1D store hit (== Cache.lookup + store's hit arm)
                             l1d_stats.accesses += 1
                             l1d_stats.hits += 1
@@ -573,10 +573,10 @@ def core_stepper(engine: CoreEngine, records: Iterable[Record], warm_limit: int,
                             blk.dirty = True
                             complete = t_mem + l1d_lat_f
                         else:
-                            complete = t_mem + mem_store(paddr, t_mem)
+                            complete = t_mem + mem_store(paddr, t_mem)  # profile: miss-path
                         hit = True
                     # fused FeatureContext.update (move-to-end seen-page LRU)
-                    fctx._seen_tick = f_tick = fctx._seen_tick + 1
+                    fctx._seen_tick = f_tick = fctx._seen_tick + 1  # profile: pgc-filter
                     page = vaddr >> S4
                     if page in fctx_seen:
                         fctx.first_page_access = False
@@ -594,7 +594,7 @@ def core_stepper(engine: CoreEngine, records: Iterable[Record], warm_limit: int,
                     fctx_vh[0] = vaddr
                     fctx.last_pc = pc
                     fctx.last_vaddr = vaddr
-                    if replay:
+                    if replay:  # profile: prefetcher
                         # recorded candidates: an in-page target issues inline
                         # (== the dispatch's step-A arm); a page-cross one
                         # becomes a request for the dispatch, in recorded order
@@ -615,13 +615,13 @@ def core_stepper(engine: CoreEngine, records: Iterable[Record], warm_limit: int,
                                     if l1d_sets[pline & l1d_mask].get(pline) is None:
                                         prefetch_l1d(pf_paddr, t_mem)
                                 else:
-                                    if tr is None:
+                                    if tr is None:  # profile: pgc-filter
                                         tr = Translation(tr_vpn, tr_pfn, tr_shift)
                                     dispatch_pf(
                                         (PrefetchRequest(target, pc, s_deltas[j],
                                                          s_ranks[j]),),
                                         vaddr, tr, t_mem, pc)
-                            c_lo = c_hi
+                            c_lo = c_hi  # profile: prefetcher
                     else:
                         requests = pf_on_access(pc, vaddr, hit, t_mem)
                         if requests:
@@ -629,7 +629,7 @@ def core_stepper(engine: CoreEngine, records: Iterable[Record], warm_limit: int,
                                 tr = Translation(tr_vpn, tr_pfn, tr_shift)
                             dispatch_pf(requests, vaddr, tr, t_mem, pc)
                 else:
-                    complete = dispatch + 1.0
+                    complete = dispatch + 1.0  # profile: l1d-hit
 
                 # branch resolution
                 mispredicted = flag & MISPREDICT
@@ -711,7 +711,7 @@ def core_stepper(engine: CoreEngine, records: Iterable[Record], warm_limit: int,
                     # hoisted scalars the epoch hooks may read, fire _end_epoch
                     # (threshold/policy on_epoch feed, epoch_listener tick), then
                     # reload in case a listener advanced the engine
-                    engine.instructions = instructions
+                    engine.instructions = instructions  # profile: epoch-hook
                     engine.fetch_t = fetch_t
                     engine.retire_t = retire_t
                     engine._rob_head_retire = rob_head_retire
@@ -732,8 +732,8 @@ def core_stepper(engine: CoreEngine, records: Iterable[Record], warm_limit: int,
 
                 # warm-up / finish boundary (the generator loops' per-record
                 # checks, in the same order)
-                if instructions >= boundary:
-                    if not measuring:
+                if instructions >= boundary:  # profile: l1d-hit
+                    if not measuring:  # profile: epoch-hook
                         engine.instructions = instructions
                         engine.fetch_t = fetch_t
                         engine.retire_t = retire_t
@@ -768,7 +768,7 @@ def core_stepper(engine: CoreEngine, records: Iterable[Record], warm_limit: int,
                         break
 
                 # scheduling bound: (retire_t, core) vs the heap's next entry
-                if retire_t > yield_above:
+                if retire_t > yield_above:  # profile: l1d-hit
                     bound_t, bound_i = yield ("bound", retire_t)
                     yield_above = bound_t if bound_i > core else nextafter(bound_t, _NEG_INF)
             else:
@@ -784,40 +784,6 @@ def core_stepper(engine: CoreEngine, records: Iterable[Record], warm_limit: int,
         engine.rob_stall_cycles = rob_stall
         engine._last_load_complete = last_load_complete
         engine._last_iline = last_iline
-
-
-def _raise_if_truncated(engine: CoreEngine, packed: PackedTrace, measuring: bool,
-                        warm_limit: int, sim_limit: int) -> None:
-    if not measuring:
-        raise ValueError(
-            f"workload {packed.name!r} ended after {engine.instructions} instructions, "
-            f"before the {warm_limit}-instruction warm-up completed"
-        )
-    if engine.measured_instructions < sim_limit:
-        raise ValueError(
-            f"workload {packed.name!r} ended after {engine.instructions} instructions, "
-            f"truncating the measured region to "
-            f"{engine.measured_instructions} of the requested "
-            f"{sim_limit} instructions"
-        )
-
-
-def _drive_stepwise(engine: CoreEngine, packed: PackedTrace, warm_limit: int,
-                    sim_limit: int) -> float:
-    """Packed records through the full step() — used when a probe is attached."""
-    step = engine.step
-    measuring = False
-    wall_start = perf_counter()
-    for pc, vaddr, flags, gap in packed.records():
-        step(pc, vaddr, flags, gap)
-        if not measuring and engine.instructions >= warm_limit:
-            engine.begin_measurement()
-            measuring = True
-        if measuring and engine.measured_instructions >= sim_limit:
-            break
-    wall_seconds = perf_counter() - wall_start
-    _raise_if_truncated(engine, packed, measuring, warm_limit, sim_limit)
-    return wall_seconds
 
 
 def drive_packed(engine: CoreEngine, packed: PackedTrace, config,
@@ -840,10 +806,6 @@ def drive_packed(engine: CoreEngine, packed: PackedTrace, config,
     """
     warm_limit = config.warmup_instructions
     sim_limit = config.sim_instructions
-    if engine.probe is not None:
-        # profiled run: fusion would bypass the probe's timed seams
-        count_drive("stepwise")
-        return _drive_stepwise(engine, packed, warm_limit, sim_limit)
     count_drive("fused", replayed=stream is not None)
     stepper = core_stepper(engine, packed.records(), warm_limit, sim_limit, 0, stream)
     next(stepper)  # run the hoists
@@ -852,5 +814,5 @@ def drive_packed(engine: CoreEngine, packed: PackedTrace, config,
     wall_seconds = perf_counter() - wall_start
     stepper.close()  # flush the timeline scalars back to the engine
     if event == "end":
-        _raise_if_truncated(engine, packed, payload, warm_limit, sim_limit)
+        raise_if_truncated(engine, packed.name, payload, warm_limit, sim_limit)
     return wall_seconds

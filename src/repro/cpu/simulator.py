@@ -9,6 +9,7 @@ usefulness counters.
 
 from __future__ import annotations
 
+from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass, field, replace
 from time import perf_counter
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
@@ -37,13 +38,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 PolicyFactory = Callable[[], PageCrossPolicy]
 
 #: one increment per drive-loop entry, labelled by the loop that actually
-#: ran: ``generator`` | ``fused`` | ``stepwise`` (single core),
+#: ran: ``generator`` | ``fused`` (single core),
 #: ``mix-generator`` | ``mix-packed`` (one per mix), and ``sampled`` (one
 #: per phase-sampled run, whose stitched segments count as well) — the
 #: fast-path-vs-fallback ratio of a grid is readable off the merged metrics
 DRIVES = get_metrics().counter(
     "sim.drives",
-    "drive-loop entries by mode (generator/fused/stepwise/"
+    "drive-loop entries by mode (generator/fused/"
     "mix-generator/mix-packed/sampled)")
 
 #: one increment per drive loop, labelled by where its L1D prefetch
@@ -70,6 +71,23 @@ def count_drive(mode: str, *, replayed: bool = False) -> None:
     """Account one drive-loop entry in ``sim.drives`` and ``sim.prefetch_streams``."""
     DRIVES.inc(mode=mode)
     PREFETCH_STREAMS.inc(source="replayed" if replayed else "live")
+
+
+def raise_if_truncated(engine: CoreEngine, name: str, measuring: bool,
+                       warm_limit: int, sim_limit: int) -> None:
+    """Raise when the trace ran out before the warm-up or the measured region ended."""
+    if not measuring:
+        raise ValueError(
+            f"workload {name!r} ended after {engine.instructions} instructions, "
+            f"before the {warm_limit}-instruction warm-up completed"
+        )
+    if engine.measured_instructions < sim_limit:
+        raise ValueError(
+            f"workload {name!r} ended after {engine.instructions} instructions, "
+            f"truncating the measured region to "
+            f"{engine.measured_instructions} of the requested "
+            f"{sim_limit} instructions"
+        )
 
 
 @dataclass
@@ -332,23 +350,17 @@ def drive(engine: CoreEngine, workload: Workload, config: SimConfig) -> float:
         if measuring and engine.measured_instructions >= sim_limit:
             break
     wall_seconds = perf_counter() - wall_start
-    if not measuring:
-        raise ValueError(
-            f"workload {workload.name!r} ended after {engine.instructions} instructions, "
-            f"before the {warm_limit}-instruction warm-up completed"
-        )
-    if engine.measured_instructions < sim_limit:
-        raise ValueError(
-            f"workload {workload.name!r} ended after {engine.instructions} instructions, "
-            f"truncating the measured region to "
-            f"{engine.measured_instructions} of the requested "
-            f"{config.sim_instructions} instructions"
-        )
+    raise_if_truncated(engine, workload.name, measuring, warm_limit, sim_limit)
     return wall_seconds
 
 
-def _drive_fresh(engine: CoreEngine, workload: Workload, config: SimConfig) -> float:
-    """Drive a freshly built engine over the config's window; returns wall seconds."""
+def _drive_fresh(engine: CoreEngine, workload: Workload, config: SimConfig,
+                 sampler: AbstractContextManager = nullcontext()) -> float:
+    """Drive a freshly built engine over the config's window; returns wall seconds.
+
+    ``sampler`` (a :class:`~repro.obs.Probe`) is entered around the drive
+    itself, not around the trace packing and stream recording before it.
+    """
     if config.packed:
         from repro.cpu.fastpath import drive_packed
         from repro.workloads.packed import get_packed
@@ -356,14 +368,15 @@ def _drive_fresh(engine: CoreEngine, workload: Workload, config: SimConfig) -> f
         packed = get_packed(workload, config.warmup_instructions, config.sim_instructions)
         with trace_span("drive", workload=workload.name, mode="packed"):
             stream = None
-            if engine.probe is None and engine.prefetcher.replayable:
+            if engine.prefetcher.replayable:
                 # this fresh engine drives the whole pack with a
                 # factory-built prefetcher, so its candidates are the
                 # pack's recorded stream (built by the first such drive)
                 stream = packed.prefetch_stream(
                     config.prefetcher, config.prefetcher_extra_storage)
-            return drive_packed(engine, packed, config, stream)
-    with trace_span("drive", workload=workload.name, mode="generator"):
+            with sampler:
+                return drive_packed(engine, packed, config, stream)
+    with trace_span("drive", workload=workload.name, mode="generator"), sampler:
         return drive(engine, workload, config)
 
 
@@ -373,8 +386,8 @@ def simulate(
     """Run one workload under one configuration (warm-up + measured region).
 
     Pass an :class:`~repro.obs.Observability` bundle to record an epoch
-    timeline, journal the run, and/or profile the hot paths; with ``obs``
-    omitted the run executes the exact unobserved fast path.  With
+    timeline, journal the run, and/or sample where the kernel spends its
+    time; no instrument changes the kernel that runs or its result.  With
     ``config.validate`` set, a :class:`~repro.validate.InvariantChecker` is
     attached: conservation laws are asserted per epoch and at collect time,
     and a violation raises :class:`~repro.validate.InvariantViolation`
@@ -395,8 +408,9 @@ def simulate(
 
         checker = InvariantChecker(obs=obs, workload=workload.name)
         checker.attach(engine)
-    wall_seconds = _drive_fresh(engine, workload, config)
-    with trace_span("collect", workload=workload.name):
+    sampler = (obs.probe if obs is not None else None) or nullcontext()
+    wall_seconds = _drive_fresh(engine, workload, config, sampler)
+    with trace_span("collect", workload=workload.name), sampler:
         result = collect_result(engine, workload.name, config)
     if checker is not None:
         checker.check_final(engine, result)

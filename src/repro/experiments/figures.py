@@ -8,11 +8,9 @@ each function to the paper exhibit and records measured-vs-paper shapes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from functools import partial
+from dataclasses import dataclass, replace
 from typing import Sequence
 
-from repro.cpu.simulator import SimResult, simulate_policies
 from repro.experiments.metrics import average, geomean, geomean_speedup, speedup_percent
 from repro.experiments.runner import RunSpec, run_many, run_policies
 from repro.workloads import (
@@ -266,35 +264,15 @@ def fig13_pgc_pki(scale: Scale = DEFAULT_SCALE):
 
 
 def fig14_single_features(scale: Scale = DEFAULT_SCALE):
-    """Figure 14: DRIPPER vs its three constituent single-feature filters.
-
-    Each workload's five configs (the Discard baseline, DRIPPER, and one
-    filter per single feature) go to one :func:`simulate_policies` call, so
-    they share an engine until their decisions diverge.
-    """
-    from repro.core.filter import single_feature_filter
-
-    workloads = _sample_seen(scale)
-    spec = scale.spec(prefetcher="berti")
-    singles = {
-        f"single:{name}": partial(single_feature_filter, name, system=is_system)
-        for name, is_system in (("Delta", False), ("sTLB MPKI", True), ("sTLB Miss Rate", True))
-    }
-    columns: dict[str, list[SimResult]] = {"discard": [], "dripper": [], **{k: [] for k in singles}}
-    for workload in workloads:
-        base = spec.config_for(workload)
-        configs = [
-            base,
-            replace(spec, policy="dripper").config_for(workload),
-            *(replace(base, policy_factory=factory) for factory in singles.values()),
-        ]
-        for results, result in zip(columns.values(), simulate_policies(workload, configs)):
-            results.append(result)
-    base_results = columns.pop("discard")
-    return {
-        column: speedup_percent(geomean_speedup(results, base_results))
-        for column, results in columns.items()
-    }
+    """Figure 14: DRIPPER vs its three constituent single-feature filters."""
+    res = run_policies(
+        _sample_seen(scale),
+        ["discard", "dripper", "single:Delta", "single:sTLB MPKI", "single:sTLB Miss Rate"],
+        prefetcher="berti", base_spec=scale.spec(),
+    )
+    base = res.pop("discard")
+    return {policy: speedup_percent(geomean_speedup(results, base))
+            for policy, results in res.items()}
 
 
 def fig15_dripper_sf(scale: Scale = DEFAULT_SCALE):

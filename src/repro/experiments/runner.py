@@ -8,9 +8,11 @@ paper's shorter warm-up/simulation for the Qualcomm traces (Section IV-A1).
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from repro.core.dripper import make_dripper, make_dripper_sf
+from repro.core.filter import single_feature_filter
 from repro.core.policies import DiscardPgc, DiscardPtw, PageCrossPolicy, PermitPgc
 from repro.core.ppf import make_ppf, make_ppf_dthr
 from repro.cpu.simulator import SimConfig, SimResult, simulate
@@ -26,9 +28,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: DRIPPER's hardware budget, handed to the prefetcher in the ISO scenario
 ISO_STORAGE_BYTES = 1475
 
+#: Figure 14's single-feature filters: policy name -> (feature, is a system feature)
+_SINGLE_FEATURES = {
+    "single:delta": ("Delta", False),
+    "single:stlb mpki": ("sTLB MPKI", True),
+    "single:stlb miss rate": ("sTLB Miss Rate", True),
+}
+
 
 def policy_factory(name: str, prefetcher: str) -> Callable[[], PageCrossPolicy]:
-    """Named page-cross policy factories (the Figure 9 scenario set)."""
+    """Named page-cross policy factories (the Figure 9 and Figure 14 scenario sets)."""
     key = name.lower()
     if key in ("discard", "discard-pgc"):
         return DiscardPgc
@@ -47,6 +56,9 @@ def policy_factory(name: str, prefetcher: str) -> Callable[[], PageCrossPolicy]:
         return make_ppf
     if key in ("ppf+dthr", "ppf-dthr"):
         return make_ppf_dthr
+    if key in _SINGLE_FEATURES:
+        feature, system = _SINGLE_FEATURES[key]
+        return partial(single_feature_filter, feature, system=system)
     raise KeyError(f"unknown policy {name!r}")
 
 

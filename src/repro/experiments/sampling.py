@@ -45,6 +45,7 @@ reproducible.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from time import perf_counter
 from typing import TYPE_CHECKING, Optional
@@ -373,8 +374,10 @@ def _run_stitched(workload_name: str, packed: PackedTrace, plan: PhasePlan,
 
     base_config = replace(config, sampling=None)
     engine = build_engine(base_config)
+    sampler = nullcontext()
     if obs is not None:
         obs.attach(engine, packed)
+        sampler = obs.probe or sampler
     checker = None
     if base_config.validate:
         from repro.validate import InvariantChecker
@@ -406,9 +409,10 @@ def _run_stitched(workload_name: str, packed: PackedTrace, plan: PhasePlan,
                              sim_instructions=inst)
         with trace_span("phase", workload=workload_name, phase=j,
                         representative=rep, weight=phase.instructions,
-                        warmup=sub_warm, sim=inst):
+                        warmup=sub_warm, sim=inst), sampler:
             wall += drive_packed(engine, sub, sub_config)
-        result = collect_result(engine, workload_name, sub_config)
+        with sampler:
+            result = collect_result(engine, workload_name, sub_config)
         if checker is not None:
             checker.check_final(engine, result)
         rep_results[j] = result

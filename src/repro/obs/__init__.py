@@ -9,9 +9,10 @@ helpers) and wires up to three independent instruments:
   threshold and permit rate);
 * :class:`~repro.obs.journal.RunJournal` — an append-only JSONL record per
   run: full config, workload identity + seed, result, wall time, host;
-* :class:`~repro.obs.profiling.Probe` — per-component wall-time breakdown
-  of the simulator's hot paths (prefetcher invoke, policy decide, page
-  walk, cache access).
+* :class:`~repro.obs.profiling.Probe` — a ``SIGPROF`` sampler that splits
+  the record kernel's CPU time into named sections (front end, dTLB +
+  walks, L1D hit path, miss path, prefetcher, page-cross filter, epoch
+  hook, collect).
 
 All three are strictly opt-in: a run without an `Observability` bundle
 executes the exact unobserved hot path.
@@ -44,7 +45,7 @@ from repro.obs.metrics import (
     to_json,
     to_prometheus,
 )
-from repro.obs.profiling import NULL_PROBE, Probe, ScopedTimer
+from repro.obs.profiling import Probe
 from repro.obs.progress import GridProgress, ProgressSink, progress_printer
 from repro.obs.timeline import TIMELINE_FIELDS, TimelineRecorder
 from repro.obs.tracing import Tracer, current_tracer, install_tracer, trace_span
@@ -85,6 +86,7 @@ class Observability:
 
     timeline: Optional[TimelineRecorder] = None
     journal: Optional[RunJournal] = None
+    #: sampled over each run's drive and collect (see ``simulate``)
     probe: Optional[Probe] = None
     #: retain the finished engine on `last_engine` (for filter inspection)
     keep_engine: bool = False
@@ -120,8 +122,6 @@ class Observability:
         if self.timeline is not None:
             self.timeline.start_run(getattr(workload, "name", str(workload)))
             engine.epoch_listener = self.timeline.on_epoch
-        if self.probe is not None:
-            engine.enable_profiling(self.probe)
 
     def finish(
         self,
@@ -167,8 +167,6 @@ __all__ = [
     "describe_workload",
     "host_info",
     "Probe",
-    "ScopedTimer",
-    "NULL_PROBE",
     "MetricsRegistry",
     "MetricsSnapshot",
     "get_metrics",

@@ -1,134 +1,150 @@
-"""Low-overhead profiling hooks: wall-time probes for the simulator hot paths.
+"""Sampling profiler for the record kernel that actually runs.
 
-A :class:`Probe` accumulates per-component wall time (``perf_counter``
-based).  It is wired into the engine by *replacing* the engine's cached
-bound calls with timed wrappers (see ``CoreEngine.enable_profiling``), so a
-run without profiling pays nothing — not even a branch — on the hot paths.
-
-Two usage styles:
-
-* ``probe.timed(component, fn)`` — wrap a callable; every invocation adds
-  its duration to the component's bucket;
-* ``with probe.timer(component): ...`` — a :class:`ScopedTimer` for timing
-  arbitrary blocks (a no-op when the probe is disabled).
+Inside its ``with`` block a :class:`Probe` arms ``setitimer(ITIMER_PROF)``.
+Each ``SIGPROF`` (every :data:`INTERVAL` of process CPU time, or every
+kernel tick if that is coarser) charges one sample to the section of the
+innermost kernel frame on the stack.  In :func:`repro.cpu.fastpath.core_stepper`,
+the fused dispatch and ``CoreEngine._dispatch_prefetches`` that is the
+section the running line falls in, opened by the last ``# profile:
+<section>`` comment above it; :func:`repro.cpu.simulator.collect_result` is
+``collect``; with no kernel frame on the stack the sample is ``other``.  So
+a callee's time (a walk, an L2 access) goes to the kernel line that called
+it.  Nothing in the simulator is wrapped, so a profiled run drives the same
+kernel and returns the same result, and the handler keeps no frame, so the
+engine is still freed by reference counting.  DESIGN.md §6 says what each
+section covers and where the attribution is approximate.
 """
 
 from __future__ import annotations
 
-from time import perf_counter
-from typing import Any, Callable, Optional
+import inspect
+import signal
+from functools import cache
+from types import CodeType
+from typing import Any, Optional
+
+#: seconds of process CPU time between samples
+INTERVAL = 0.001
+
+#: the named sections, in the order the kernel runs them
+SECTIONS = ("front-end", "dtlb+walks", "l1d-hit", "miss-path", "prefetcher",
+            "pgc-filter", "epoch-hook", "collect")
+#: samples that no kernel frame claims
+OTHER = "other"
+
+_MARKER = "# profile: "
+
+
+def _instruction_sections(code: CodeType) -> list[str]:
+    """The section of each instruction of ``code``, by bytecode offset // 2.
+
+    An instruction without a line (some loop back-edges) keeps the section
+    of the one before it.
+    """
+    table = [OTHER] * (len(code.co_code) // 2)
+    try:
+        lines, first = inspect.getsourcelines(code)
+    except OSError:  # no source on disk: every sample is ``other``
+        return table
+    by_line: dict[int, str] = {}
+    section = OTHER
+    for lineno, text in enumerate(lines, first):
+        _, marker, rest = text.partition(_MARKER)
+        if marker:
+            section = rest.strip()
+            if section not in SECTIONS:
+                raise ValueError(f"{code.co_name}:{lineno}: unknown profile section {section!r}")
+        by_line[lineno] = section
+    section = OTHER
+    for start, end, lineno in code.co_lines():
+        if lineno is not None:
+            section = by_line.get(lineno, OTHER)
+        table[start // 2:end // 2] = [section] * ((end - start) // 2)
+    return table
+
+
+@cache
+def _code_map() -> dict[CodeType, Any]:
+    """Kernel code object -> its section, or the section of each instruction."""
+    from repro.cpu import fastpath
+    from repro.cpu.core import CoreEngine
+    from repro.cpu.simulator import collect_result
+
+    dispatch = next(c for c in fastpath._make_fused_dispatch.__code__.co_consts
+                    if isinstance(c, CodeType) and c.co_name == "dispatch")
+    kernels = (fastpath.core_stepper.__code__, dispatch,
+               CoreEngine._dispatch_prefetches.__code__)
+    codes: dict[CodeType, Any] = {code: _instruction_sections(code) for code in kernels}
+    codes[collect_result.__code__] = "collect"
+    return codes
 
 
 class Probe:
-    """Per-component wall-time accumulator."""
+    """Per-section sample counter, sampling while entered as a context manager."""
 
-    __slots__ = ("enabled", "totals", "counts")
+    def __init__(self) -> None:
+        self.counts: dict[str, int] = dict.fromkeys((*SECTIONS, OTHER), 0)
+        self._codes: dict[CodeType, Any] = {}
+        self._saved: Optional[tuple] = None
 
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
-        self.totals: dict[str, float] = {}
-        self.counts: dict[str, int] = {}
+    def _sample(self, signum: int, frame) -> None:
+        codes = self._codes
+        section = OTHER
+        while frame is not None:
+            where = codes.get(frame.f_code)
+            if where is not None:
+                section = where if isinstance(where, str) else where[frame.f_lasti >> 1]
+                break
+            frame = frame.f_back
+        self.counts[section] += 1
 
-    def add(self, component: str, seconds: float, calls: int = 1) -> None:
-        """Charge `seconds` (and `calls` invocations) to a component."""
-        self.totals[component] = self.totals.get(component, 0.0) + seconds
-        self.counts[component] = self.counts.get(component, 0) + calls
-
-    def timed(self, component: str, fn: Callable) -> Callable:
-        """Wrap `fn` so every call is timed into `component`.
-
-        Returns `fn` unchanged when the probe is disabled, so instrumented
-        code keeps its original call overhead.
-        """
-        if not self.enabled:
-            return fn
-        totals = self.totals
-        counts = self.counts
-        totals.setdefault(component, 0.0)
-        counts.setdefault(component, 0)
-
-        def wrapper(*args: Any, **kwargs: Any) -> Any:
-            t0 = perf_counter()
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                totals[component] += perf_counter() - t0
-                counts[component] += 1
-
-        return wrapper
-
-    def timer(self, component: str) -> "ScopedTimer":
-        """A context manager timing its block into `component`."""
-        return ScopedTimer(self, component)
-
-    def reset(self) -> None:
-        """Drop all accumulated times and counts."""
-        self.totals.clear()
-        self.counts.clear()
-
-    @property
-    def instrumented_seconds(self) -> float:
-        """Total wall time charged to any component."""
-        return sum(self.totals.values())
-
-    def breakdown(self) -> dict[str, dict[str, float]]:
-        """Per-component ``{seconds, calls, us_per_call}``, slowest first."""
-        out: dict[str, dict[str, float]] = {}
-        for component in sorted(self.totals, key=self.totals.get, reverse=True):
-            seconds = self.totals[component]
-            calls = self.counts.get(component, 0)
-            out[component] = {
-                "seconds": seconds,
-                "calls": calls,
-                "us_per_call": 1e6 * seconds / calls if calls else 0.0,
-            }
-        return out
-
-    def format_breakdown(self, wall_seconds: Optional[float] = None) -> str:
-        """Human-readable per-component table (printed at the end of a run)."""
-        rows = self.breakdown()
-        if not rows:
-            return "profile: no instrumented calls recorded"
-        total = self.instrumented_seconds
-        denom = wall_seconds if wall_seconds else total
-        header = "profile breakdown"
-        if wall_seconds:
-            header += (
-                f" (wall {wall_seconds:.3f}s, instrumented "
-                f"{total:.3f}s = {100 * total / wall_seconds:.0f}%)"
-            )
-        lines = [header]
-        name_w = max(len("component"), *(len(n) for n in rows))
-        lines.append(f"  {'component'.ljust(name_w)}  {'calls':>9}  {'seconds':>8}  {'share':>6}  {'us/call':>8}")
-        for component, info in rows.items():
-            share = 100 * info["seconds"] / denom if denom else 0.0
-            lines.append(
-                f"  {component.ljust(name_w)}  {int(info['calls']):>9}  "
-                f"{info['seconds']:>8.3f}  {share:>5.1f}%  {info['us_per_call']:>8.2f}"
-            )
-        return "\n".join(lines)
-
-
-class ScopedTimer:
-    """Times a ``with`` block into a probe component; no-op when disabled."""
-
-    __slots__ = ("_probe", "_component", "_t0")
-
-    def __init__(self, probe: Optional[Probe], component: str):
-        self._probe = probe if (probe is not None and probe.enabled) else None
-        self._component = component
-        self._t0 = 0.0
-
-    def __enter__(self) -> "ScopedTimer":
-        if self._probe is not None:
-            self._t0 = perf_counter()
+    def __enter__(self) -> "Probe":
+        if self._saved is not None:
+            raise RuntimeError("this probe is already sampling")
+        self._codes = _code_map()
+        handler = signal.signal(signal.SIGPROF, self._sample)
+        self._saved = (handler, signal.setitimer(signal.ITIMER_PROF, INTERVAL, INTERVAL))
         return self
 
-    def __exit__(self, *exc: Any) -> bool:
-        if self._probe is not None:
-            self._probe.add(self._component, perf_counter() - self._t0)
-        return False
+    def __exit__(self, *exc: Any) -> None:
+        handler, timer = self._saved
+        self._saved = None
+        # timer first: a SIGPROF already pending is handled by _sample
+        signal.setitimer(signal.ITIMER_PROF, *timer)
+        signal.signal(signal.SIGPROF, signal.SIG_DFL if handler is None else handler)
 
+    def reset(self) -> None:
+        """Drop all samples."""
+        for section in self.counts:
+            self.counts[section] = 0
 
-#: a shared always-disabled probe (handy default for optional probe params)
-NULL_PROBE = Probe(enabled=False)
+    @property
+    def samples(self) -> int:
+        """Samples taken over every ``with`` block so far."""
+        return sum(self.counts.values())
+
+    @property
+    def named_share(self) -> float:
+        """Fraction of the samples that a named section claimed."""
+        total = self.samples
+        return 1.0 - self.counts[OTHER] / total if total else 0.0
+
+    def breakdown(self) -> dict[str, dict[str, float]]:
+        """Per-section ``{samples, share}``, most sampled first."""
+        total = self.samples
+        ranked = sorted(self.counts.items(), key=lambda item: -item[1])
+        return {section: {"samples": n, "share": n / total if total else 0.0}
+                for section, n in ranked}
+
+    def format_breakdown(self) -> str:
+        """Human-readable per-section table (printed at the end of a run)."""
+        total = self.samples
+        if not total:
+            return "profile: no samples recorded"
+        lines = [f"profile: {total} samples of process CPU time, "
+                 f"one per {INTERVAL * 1000:g} ms or kernel tick"]
+        lines.append(f"  {'section':<11}  {'samples':>7}  {'share':>6}")
+        for section, info in self.breakdown().items():
+            lines.append(f"  {section:<11}  {info['samples']:>7}  {100 * info['share']:>5.1f}%")
+        lines.append(f"  named sections: {100 * self.named_share:.1f}% of samples")
+        return "\n".join(lines)

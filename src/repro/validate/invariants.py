@@ -1,8 +1,8 @@
 """Runtime invariant checking for simulation runs.
 
 An :class:`InvariantChecker` attaches to a built :class:`CoreEngine` through
-the same opt-in seams the profiler uses (chained ``epoch_listener``,
-instance-level method wraps), so an unvalidated run pays nothing.  While
+opt-in seams (chained ``epoch_listener``, instance-level method wraps), so
+an unvalidated run pays nothing.  While
 attached it asserts the conservation laws the paper's headline counters rest
 on:
 

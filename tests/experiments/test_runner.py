@@ -22,6 +22,17 @@ class TestPolicyFactory:
         assert policy_factory("ppf", "berti")().name == "ppf"
         assert policy_factory("ppf+dthr", "berti")().name == "ppf+dthr"
 
+    def test_single_feature_filters(self):
+        # Fig. 14's filters are registry names, so their cells are cacheable
+        for name, features in (("single:Delta", ["Delta"]),
+                               ("single:sTLB MPKI", []),
+                               ("single:sTLB Miss Rate", [])):
+            policy = policy_factory(name, "berti")()
+            assert isinstance(policy, PerceptronFilter)
+            assert policy.name == name
+            assert [f.name for f in policy.features] == features
+            assert len(policy.sys_specs) == 1 - len(features)
+
     def test_fresh_instance_per_call(self):
         factory = policy_factory("dripper", "berti")
         assert factory() is not factory()

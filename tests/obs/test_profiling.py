@@ -1,110 +1,113 @@
-"""Probe / ScopedTimer behaviour."""
+"""Probe: the SIGPROF sampler and its per-section breakdown."""
 
+import signal
 import time
 
-from repro.obs.profiling import NULL_PROBE, Probe, ScopedTimer
+import pytest
+
+from repro.core.dripper import make_dripper
+from repro.cpu.simulator import SimConfig, simulate
+from repro.experiments.sampling import SamplingConfig
+from repro.obs import Observability
+from repro.obs.profiling import OTHER, SECTIONS, Probe, _code_map
+from repro.validate import result_diff
+from repro.workloads import by_name
 
 
-class TestTimedWrapper:
-    def test_counts_calls_and_accumulates_time(self):
-        probe = Probe()
-        fn = probe.timed("work", lambda x: x * 2)
-        assert fn(3) == 6
-        assert fn(4) == 8
-        assert probe.counts["work"] == 2
-        assert probe.totals["work"] >= 0.0
-
-    def test_return_value_and_exceptions_pass_through(self):
-        probe = Probe()
-
-        def boom():
-            raise RuntimeError("boom")
-
-        wrapped = probe.timed("boom", boom)
-        try:
-            wrapped()
-        except RuntimeError:
-            pass
-        else:  # pragma: no cover - defensive
-            raise AssertionError("exception swallowed")
-        # the failing call is still charged
-        assert probe.counts["boom"] == 1
-
-    def test_disabled_probe_returns_original_function(self):
-        def fn():
-            return 1
-
-        assert NULL_PROBE.timed("x", fn) is fn
-        assert NULL_PROBE.totals == {}
-
-
-class TestScopedTimer:
-    def test_times_a_block(self):
-        probe = Probe()
-        with probe.timer("sleep"):
-            time.sleep(0.002)
-        assert probe.totals["sleep"] >= 0.001
-        assert probe.counts["sleep"] == 1
-
-    def test_noop_when_disabled(self):
-        with ScopedTimer(NULL_PROBE, "x"):
-            pass
-        assert "x" not in NULL_PROBE.totals
-
-    def test_noop_without_probe(self):
-        with ScopedTimer(None, "x"):
-            pass  # must not raise
+def _loaded_probe():
+    probe = Probe()
+    probe.counts.update({"l1d-hit": 6, "prefetcher": 2, OTHER: 2})
+    return probe
 
 
 class TestBreakdown:
-    def _loaded_probe(self):
-        probe = Probe()
-        probe.add("slow", 0.3, calls=10)
-        probe.add("fast", 0.1, calls=1000)
-        return probe
-
     def test_sorted_by_time_descending(self):
-        bd = self._loaded_probe().breakdown()
-        assert list(bd) == ["slow", "fast"]
-        assert bd["fast"]["calls"] == 1000
-        assert abs(bd["slow"]["us_per_call"] - 30_000) < 1e-6
+        bd = _loaded_probe().breakdown()
+        assert list(bd)[:3] == ["l1d-hit", "prefetcher", OTHER]
+        assert bd["l1d-hit"] == {"samples": 6, "share": 0.6}
+        assert set(bd) == {*SECTIONS, OTHER}
 
     def test_format_includes_wall_share(self):
-        text = self._loaded_probe().format_breakdown(wall_seconds=0.8)
-        assert "profile breakdown" in text
-        assert "slow" in text and "fast" in text
-        assert "50%" in text  # 0.4s instrumented of 0.8s wall
+        text = _loaded_probe().format_breakdown()
+        assert "10 samples" in text
+        assert "60.0%" in text
+        assert "named sections: 80.0% of samples" in text
 
     def test_format_empty(self):
-        assert "no instrumented calls" in Probe().format_breakdown()
+        assert "no samples" in Probe().format_breakdown()
 
     def test_reset(self):
-        probe = self._loaded_probe()
+        probe = _loaded_probe()
         probe.reset()
-        assert probe.instrumented_seconds == 0.0
-        assert probe.breakdown() == {}
+        assert probe.samples == 0
+        assert probe.named_share == 0.0
+
+
+class TestSampler:
+    def test_samples_process_cpu_time(self):
+        probe = Probe()
+        with probe:
+            deadline = time.process_time() + 0.1
+            while time.process_time() < deadline:
+                pass
+        assert probe.samples > 0
+        assert probe.counts[OTHER] == probe.samples  # no kernel frame ran
+
+    def test_restores_previous_handler_and_timer(self):
+        def previous(signum, frame):
+            pass
+
+        old = signal.signal(signal.SIGPROF, previous)
+        try:
+            with Probe():
+                assert signal.getsignal(signal.SIGPROF) is not previous
+                assert signal.getitimer(signal.ITIMER_PROF)[1] > 0
+            assert signal.getsignal(signal.SIGPROF) is previous
+            assert signal.getitimer(signal.ITIMER_PROF) == (0.0, 0.0)
+        finally:
+            signal.signal(signal.SIGPROF, old)
+
+    def test_not_reentrant(self):
+        probe = Probe()
+        with probe:
+            with pytest.raises(RuntimeError, match="already sampling"):
+                probe.__enter__()
+
+    def test_markers_cover_every_kernel_section(self):
+        tables = [table for table in _code_map().values() if not isinstance(table, str)]
+        assert len(tables) == 3
+        marked = {section for table in tables for section in table}
+        assert marked - {OTHER} == set(SECTIONS) - {"collect"}
 
 
 class TestEngineIntegration:
-    def test_profiled_run_covers_hot_paths_without_perturbing_results(self):
-        from repro.core.dripper import make_dripper
-        from repro.cpu.simulator import SimConfig, simulate
-        from repro.obs import Observability
-        from repro.workloads import by_name
-
-        config = SimConfig(
+    @staticmethod
+    def config(**overrides):
+        return SimConfig(
             prefetcher="berti",
             policy_factory=lambda: make_dripper("berti"),
-            warmup_instructions=1_000,
-            sim_instructions=3_000,
+            warmup_instructions=4_000,
+            sim_instructions=12_000,
+            **overrides,
         )
-        plain = simulate(by_name("astar"), config)
+
+    @pytest.mark.parametrize("overrides", [
+        dict(packed=False),
+        dict(packed=True),
+        dict(packed=True, sampling=SamplingConfig(intervals=16, phases=4)),
+    ], ids=["generator", "packed", "sampled"])
+    def test_results_bit_identical_with_probe(self, overrides):
+        w = by_name("astar")
+        plain = simulate(w, self.config(**overrides))
+        profiled = simulate(w, self.config(**overrides), obs=Observability(probe=Probe()))
+        assert result_diff(plain, profiled) == {}
+
+    def test_profiled_run_covers_hot_paths_without_perturbing_results(self):
+        w = by_name("astar")
+        config = self.config(packed=True)
+        plain = simulate(w, config)
         probe = Probe()
-        profiled = simulate(by_name("astar"), config, obs=Observability(probe=probe))
-        # instrumentation observes, never perturbs, the simulated machine
-        assert profiled.ipc == plain.ipc
-        assert profiled.l1d_mpki == plain.l1d_mpki
-        assert set(probe.totals) >= {"cache.load", "cache.ifetch", "prefetcher",
-                                     "policy.decide", "page_walk"}
-        assert probe.counts["cache.load"] > 0
-        assert probe.counts["page_walk"] > 0
+        profiled = simulate(w, config, obs=Observability(probe=probe))
+        assert result_diff(plain, profiled) == {}
+        assert probe.samples >= 10
+        assert probe.named_share >= 0.9

@@ -83,8 +83,8 @@ class TestObservabilityFlags:
         ])
         assert code == 0
         captured = capsys.readouterr()
-        assert "profile breakdown" in captured.out
-        assert "cache.load" in captured.out
+        assert "samples of process CPU time" in captured.out
+        assert "named sections:" in captured.out
 
         rows = [json.loads(line) for line in timeline.read_text().splitlines()]
         assert len(rows) >= 2  # 5000 instructions / 2048-instruction epochs
@@ -111,7 +111,18 @@ class TestObservabilityFlags:
                      *self._FAST, "--json", "--profile"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
-        assert "cache.load" in payload["profile"]
+        assert set(payload["profile"]["sections"]) >= {"l1d-hit", "miss-path", "other"}
+
+    def test_compare_profile_shares_span_every_run(self, capsys):
+        code = main(["compare", "--workload", "astar",
+                     "--policies", "discard", "permit", "dripper",
+                     *self._FAST, "--json", "--profile"])
+        assert code == 0
+        profile = json.loads(capsys.readouterr().out)["profile"]
+        sections = profile["sections"]
+        assert profile["samples"] == sum(s["samples"] for s in sections.values())
+        assert all(0.0 <= s["share"] <= 1.0 for s in sections.values())
+        assert 0.0 <= profile["named_share"] <= 1.0
 
     def test_compare_json(self, capsys):
         code = main(["compare", "--workload", "hmmer", "--policies", "discard", "permit",
@@ -313,7 +324,7 @@ class TestTelemetryFlags:
     def test_run_metrics_out_prometheus(self, tmp_path, capsys):
         out = tmp_path / "m.prom"
         code = main(["run", "--workload", "astar", "--policy", "discard",
-                     *self.FAST, "--packed", "--metrics-out", str(out)])
+                     *self.FAST, "--metrics-out", str(out)])
         assert code == 0
         from repro.obs.metrics import parse_prometheus, summarize
 
@@ -334,7 +345,7 @@ class TestTelemetryFlags:
         clear_pack_cache()  # a warm cache would skip the "pack" span
         out = tmp_path / "t.json"
         code = main(["run", "--workload", "astar", "--policy", "discard",
-                     *self.FAST, "--packed", "--trace-out", str(out)])
+                     *self.FAST, "--trace-out", str(out)])
         assert code == 0
         doc = json.loads(out.read_text())
         names = {e["name"] for e in doc["traceEvents"] if e.get("ph") == "X"}

@@ -387,11 +387,17 @@ class TestStreamReplay:
             lambda: simulate(w, self.config(prefetcher="berti-timely")))
         assert counted == (0, 1)
 
-    def test_probed_run_stays_live(self):
+    def test_profiled_run_is_fused_and_replays(self):
         from repro.obs import Observability
+        from repro.obs.metrics import get_metrics
         from repro.obs.profiling import Probe
 
         w = by_name("astar")
+        plain = simulate(w, self.config())  # records the stream
+        drives = get_metrics().counter("sim.drives")
+        fused = drives.value(mode="fused")
         obs = Observability(probe=Probe())
-        _, counted = self.counted(lambda: simulate(w, self.config(), obs=obs))
-        assert counted == (0, 1)
+        profiled, counted = self.counted(lambda: simulate(w, self.config(), obs=obs))
+        assert counted == (1, 0)
+        assert drives.value(mode="fused") == fused + 1
+        assert result_diff(plain, profiled) == {}
