@@ -10,12 +10,12 @@ differential-validation machinery and the script aborts on any mismatch —
 the speedup is only meaningful if the answers are bit-identical.
 
 ``--grid`` additionally benchmarks whole-grid execution: the same
-(workload × policy) cell batch dispatched per-cell to a worker pool with
-per-worker packing (the historical parallel grid) versus the
-workload-affine scheduler replaying zero-copy shared-memory packs
-(``run_cells(jobs=N)``, whose pool always carries the pack store).  Both
-legs' results are diffed against a serial reference run before any timing
-is reported.
+(workload × policy) cell batch dispatched per-cell to a worker pool (the
+historical parallel grid) versus the workload-affine scheduler
+(``run_cells(jobs=N)``), which hands each worker whole per-workload chunks
+so it packs each workload once.  Both legs' workers pack for themselves.
+Both legs' results are diffed against a serial reference run before any
+timing is reported.
 
 ``--sampled`` benchmarks phase-sampled simulation
 (:mod:`repro.experiments.sampling`) instead: one full packed run against
@@ -157,14 +157,14 @@ def _legacy_grid(cells, jobs: int):
     """The pre-affine parallel grid: one task per cell, per-worker packing.
 
     Reproduces the historical dispatch shape — a fresh pool, every cell its
-    own task, no shared pack store — so the grid benchmark compares the new
-    scheduler against what ``run_cells(jobs=N)`` actually did before.
+    own task, in input order — so the grid benchmark compares the affine
+    scheduler against what ``run_cells(jobs=N)`` did before it.
     """
     results = [None] * len(cells)
     with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
-                             initargs=(None, ())) as pool:
+                             initargs=(None,)) as pool:
         futures = [
-            pool.submit(_run_chunk_worker, execute_cells, [(i, cell)], (), False, False)
+            pool.submit(_run_chunk_worker, execute_cells, [(i, cell)], False)
             for i, cell in enumerate(cells)
         ]
         for future in as_completed(futures):
@@ -174,8 +174,8 @@ def _legacy_grid(cells, jobs: int):
     return results
 
 
-def _shm_grid(cells, jobs: int):
-    """The shm + workload-affine grid (a fresh session per run, like a CLI call)."""
+def _affine_grid(cells, jobs: int):
+    """The workload-affine grid (a fresh session per run, like a CLI call)."""
     return run_cells(cells, jobs=jobs)
 
 
@@ -188,12 +188,12 @@ def bench_grid(workloads, policies, prefetcher: str, warmup: int, sim: int,
              for name in workloads for policy in policies]
     reference = run_cells(cells, jobs=1)
 
-    t_legacy, legacy_results, t_shm, shm_results, speedup = _best_of_interleaved(
+    t_legacy, legacy_results, t_affine, affine_results, speedup = _best_of_interleaved(
         repeats,
         lambda: _legacy_grid(cells, jobs),
-        lambda: _shm_grid(cells, jobs),
+        lambda: _affine_grid(cells, jobs),
     )
-    for tag, results in (("legacy", legacy_results), ("shm", shm_results)):
+    for tag, results in (("legacy", legacy_results), ("affine", affine_results)):
         for cell, got, want in zip(cells, results, reference):
             diffs = result_diff(got, want)
             if diffs:
@@ -210,7 +210,7 @@ def bench_grid(workloads, policies, prefetcher: str, warmup: int, sim: int,
         "cells": len(cells),
         "jobs": jobs,
         "legacy_seconds": t_legacy,
-        "shm_affine_seconds": t_shm,
+        "affine_seconds": t_affine,
         #: median of per-pair wall-time ratios (see _best_of_interleaved)
         "speedup": speedup,
     }
@@ -223,10 +223,10 @@ def bench_mix(n_mixes: int, cores: int, policies, prefetcher: str,
 
     Serial generator stepping (``run_mix_cells(jobs=1)``, the historical
     ``simulate_mix`` path) races the mix-affine scheduler dispatching whole
-    mixes to ``jobs`` workers on packed cores.  One shared-memory grid
-    session stays open across the repeats — the steady state of a 300-mix
-    study, where the worker pool and the published packs are paid once and
-    amortised over hundreds of mixes — and the untimed warm-up pair inside
+    mixes to ``jobs`` workers on packed cores.  One grid session stays open
+    across the repeats — the steady state of a 300-mix study, where the
+    worker pool and each worker's packs are paid once and amortised over
+    hundreds of mixes — and the untimed warm-up pair inside
     :func:`_best_of_interleaved` is what pays them, so neither leg times
     session setup.  Every core of every mix is diffed between the legs
     before any timing is reported.
@@ -350,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="take the best of N runs per path (default: 5)")
     parser.add_argument("--grid", action="store_true",
                         help="also benchmark whole-grid execution: per-cell "
-                             "dispatch vs the shm + workload-affine scheduler")
+                             "dispatch vs the workload-affine scheduler")
     parser.add_argument("--grid-workloads", nargs="+",
                         default=["astar", "hmmer", "mcf", "lbm"])
     parser.add_argument("--grid-jobs", type=int, default=2)
@@ -501,10 +501,10 @@ def main() -> int:
                           args.grid_jobs, args.grid_repeats)
         payload["grid"] = grid
         print(format_table(
-            ["cells", "jobs", "per-cell dispatch", "shm + affine", "speedup"],
+            ["cells", "jobs", "per-cell dispatch", "workload-affine", "speedup"],
             [(str(grid["cells"]), str(grid["jobs"]),
               f"{grid['legacy_seconds']:.2f}s",
-              f"{grid['shm_affine_seconds']:.2f}s",
+              f"{grid['affine_seconds']:.2f}s",
               f"{grid['speedup']:.2f}x")],
             f"grid: {len(grid['workloads'])} workloads x {len(grid['policies'])} "
             f"policies, {args.prefetchers[0]} (best of {args.grid_repeats})",

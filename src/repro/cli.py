@@ -37,7 +37,7 @@ share of the sampled CPU time, over every run), ``--json`` (machine-readable std
 ``--metrics-out`` (process-wide counter/gauge/histogram snapshot as
 Prometheus text, or JSON when the path ends in ``.json``), and
 ``--trace-out`` (Chrome trace-event JSON of the run's spans — pack,
-shm-attach, drive, collect, cache-write — loadable in Perfetto or
+drive, collect, cache-write — loadable in Perfetto or
 ``chrome://tracing``; under ``--jobs`` the workers' spans are merged in with
 their real pids).  ``compare`` and ``sweep`` additionally accept ``--jobs``
 (process-pool grid execution), ``--cache-dir`` (content-addressed result
@@ -703,7 +703,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the end-of-command metrics snapshot "
                             "(Prometheus text; JSON when PATH ends in .json)")
         g.add_argument("--trace-out", metavar="PATH", default=None,
-                       help="record spans (pack/shm-attach/drive/collect/"
+                       help="record spans (pack/drive/collect/"
                             "cache-write) and write a Chrome trace-event JSON "
                             "merging every process's spans")
 

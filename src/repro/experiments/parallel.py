@@ -16,9 +16,10 @@ nest to a flat list of :class:`Cell`\\ s — picklable descriptions of one
 
 Scheduling is **workload-affine**: pending cells are grouped by workload
 identity and pack window, and each worker receives whole per-workload chunks
-— so it materialises (or shm-attaches) a workload's pack once and replays it
-across all of that workload's (prefetcher × policy × params) cells, instead
-of thrashing the pack cache by round-robining across workloads.
+— so it packs a workload once (through its own
+:func:`~repro.workloads.packed.get_packed` LRU) and replays the pack across
+all of that workload's (prefetcher × policy × params) cells, instead of
+thrashing the pack cache by round-robining across workloads.
 
 Both paths run each workload's cells through :func:`execute_cells`, which
 hands them to one :func:`~repro.cpu.simulator.simulate_policies` call: cells
@@ -27,29 +28,24 @@ decisions diverge (DESIGN.md §17), and every result stays bit-identical to
 running the cell alone.
 
 Chunks dispatch **costliest-first**: each chunk's wall-clock is estimated as
-pack record count × the relative drive-loop weight of its cells' page-cross
-policies (:func:`chunk_cost`), and the pool drains the estimates in
-descending order.  On skewed grids — one 10×-longer workload window, or a
-handful of heavyweight DRIPPER/PPF cells amid cheap discard ones — this
-keeps the long poles from landing last and serialising the batch tail; on
-uniform grids it degrades to the old largest-chunk-first order.
+its cells' trace window (warm-up + measured instructions) × the relative
+drive-loop weight of their page-cross policies (:func:`chunk_cost`), and the
+pool drains the estimates in descending order.  On skewed grids — one
+10×-longer workload window, or a handful of heavyweight DRIPPER/PPF cells
+amid cheap discard ones — this keeps the long poles from landing last and
+serialising the batch tail; on uniform grids it degrades to the old
+largest-chunk-first order.
 
-Under ``jobs>1`` the parent packs each workload of the grid exactly once
-and publishes the columns through a
-:class:`~repro.workloads.shm.SharedPackStore`; chunks carry their workload's
-:class:`~repro.workloads.shm.PackHandle` and the workers replay zero-copy
-views instead of repacking per process.  Cells whose workload cannot be
-published (no cross-process identity, empty pack) fall back to
-worker-local packing — the store is a pure transport optimisation on top of
-the bit-identical packed fast path.  :func:`run_cells` and
-:func:`run_mix_cells` share this pool path (:func:`_run_on_pool`); each
-only plans its own chunks.
+Pool cells run exactly the config the serial path builds; the parent packs
+nothing.  :func:`run_cells` and :func:`run_mix_cells` share this pool path
+(:func:`_run_on_pool`); each only plans its own chunks.
 
-Every parallel batch builds its own pool and store unless it runs inside a
-:func:`grid_session`, which keeps one of each alive across several batches
-— ``fig19_multicore`` wraps its isolation and mix batches in one, and a
-caller running several sweeps can do the same, so the grid forks once
-instead of once per batch.
+Every parallel batch builds its own pool and shard directory unless it runs
+inside a :func:`grid_session`, which keeps one of each alive across several
+batches — ``fig19_multicore`` wraps its isolation and mix batches in one,
+and a caller running several sweeps can do the same, so the grid forks once
+instead of once per batch.  Closing the batch (or the session) joins every
+worker: no process the grid started outlives it.
 
 Determinism: a simulation is a pure function of (workload identity + seed,
 config) — trace generation, large-page allocation, and every replacement
@@ -92,7 +88,6 @@ from repro.obs.tracing import Tracer, current_tracer, install_tracer, trace_span
 from repro.params import SystemParams
 from repro.workloads.packed import clear_pack_cache
 from repro.workloads.registry import by_name
-from repro.workloads.shm import PackHandle, SharedPackStore, install_attachments
 from repro.workloads.trace import trace_window
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -226,16 +221,10 @@ def _grid_metrics():
     return _GRID_METRICS
 
 
-def execute_cell(cell: Cell, *, obs: Optional["Observability"] = None,
-                 force_packed: bool = False) -> SimResult:
-    """Run one cell in the current process, alone on its engine.
-
-    ``force_packed`` routes the run through the packed fast path regardless
-    of the spec (bit-identical by contract) — set for cells whose chunk
-    shipped an shm pack handle, so the worker replays the attached view.
-    """
+def execute_cell(cell: Cell, *, obs: Optional["Observability"] = None) -> SimResult:
+    """Run one cell in the current process, alone on its engine."""
     workload = cell.resolve_workload()
-    config = _cell_config(cell, workload, force_packed)
+    config = build_config(cell, workload)
     start = perf_counter()
     with trace_span("cell", category="grid",
                     workload=cell.workload, policy=_policy_of(cell)):
@@ -248,8 +237,8 @@ def execute_cell(cell: Cell, *, obs: Optional["Observability"] = None,
     return result
 
 
-def execute_cells(cells: Sequence[Cell], *, obs: Optional["Observability"] = None,
-                  force_packed: bool = False) -> list[SimResult]:
+def execute_cells(cells: Sequence[Cell], *,
+                  obs: Optional["Observability"] = None) -> list[SimResult]:
     """Run cells in the current process; results come back in input order.
 
     Each workload's cells go to one
@@ -260,12 +249,12 @@ def execute_cells(cells: Sequence[Cell], *, obs: Optional["Observability"] = Non
     describe one engine per cell.
     """
     if obs is not None:
-        return [execute_cell(cell, obs=obs, force_packed=force_packed) for cell in cells]
+        return [execute_cell(cell, obs=obs) for cell in cells]
     results: list[Optional[SimResult]] = [None] * len(cells)
     for indices in _workload_groups(cells, range(len(cells))):
         group = [cells[i] for i in indices]
         workload = group[0].resolve_workload()
-        configs = [_cell_config(cell, workload, force_packed) for cell in group]
+        configs = [build_config(cell, workload) for cell in group]
         start = perf_counter()
         with trace_span("cell", category="grid", workload=group[0].workload,
                         policy=",".join(_policy_of(cell) for cell in group)):
@@ -278,13 +267,6 @@ def execute_cells(cells: Sequence[Cell], *, obs: Optional["Observability"] = Non
 
 def _policy_of(cell: "Cell | MixCell") -> str:
     return cell.policy or cell.spec.policy
-
-
-def _cell_config(cell: Cell, workload: Any, force_packed: bool) -> SimConfig:
-    config = build_config(cell, workload)
-    if force_packed and not config.packed:
-        config.packed = True
-    return config
 
 
 def _workload_groups(cells: Sequence[Cell], indices: Iterable[int]) -> list[list[int]]:
@@ -317,8 +299,7 @@ _WORKER_SHARD_DIR: Optional[str] = None
 _WORKER_SEQ = 0
 
 
-def _init_worker(shard_dir: Optional[str], handles: Sequence[PackHandle] = (),
-                 trace: bool = False) -> None:
+def _init_worker(shard_dir: Optional[str], trace: bool = False) -> None:
     global _WORKER_SHARD_DIR, _WORKER_SEQ
     _WORKER_SHARD_DIR = shard_dir
     _WORKER_SEQ = 0
@@ -333,8 +314,6 @@ def _init_worker(shard_dir: Optional[str], handles: Sequence[PackHandle] = (),
     # ...and the parent's tracer, whose buffered spans and pid are not this
     # process's; install a fresh worker tracer (or none) in its place
     install_tracer(Tracer(role="worker") if trace else None)
-    if handles:
-        install_attachments(handles)
 
 
 def _chunk_obs() -> Optional["Observability"]:
@@ -357,9 +336,7 @@ def _chunk_obs() -> Optional["Observability"]:
 def _run_chunk_worker(
     execute: Callable[..., list],
     items: Sequence[tuple[int, Any]],
-    handles: Sequence[PackHandle],
     use_journal: bool,
-    force_packed: bool,
     trace_dir: Optional[str] = None,
 ) -> tuple[list[tuple[int, Any]], MetricsSnapshot]:
     """Run one chunk of cells in this worker process through ``execute``.
@@ -371,10 +348,6 @@ def _run_chunk_worker(
     completion order.  With ``trace_dir`` set, buffered spans are flushed to
     a per-chunk shard there (the parent absorbs them after the batch).
     """
-    if handles:
-        # the chunk's pack may have been published after this pool started,
-        # so handles ride with the chunk (registering twice is a no-op)
-        install_attachments(handles)
     if trace_dir is not None and current_tracer() is None:
         # tracing was enabled after this pool forked (persistent session)
         install_tracer(Tracer(role="worker"))
@@ -382,8 +355,7 @@ def _run_chunk_worker(
     mark = registry.snapshot()
     obs = _chunk_obs() if use_journal else None
     try:
-        results = execute([cell for _, cell in items], obs=obs,
-                          force_packed=force_packed)
+        results = execute([cell for _, cell in items], obs=obs)
         out = [(i, result) for (i, _), result in zip(items, results)]
     finally:
         if obs is not None:
@@ -397,15 +369,14 @@ def _run_chunk_worker(
 
 
 # ---------------------------------------------------------------------------
-# parent side: grid sessions (persistent pool + shared pack store)
+# parent side: grid sessions (persistent pool + shard dir)
 
 
 class _GridSession:
-    """One worker pool + pack store + shard dir, reusable across batches."""
+    """One worker pool + shard dir, reusable across batches."""
 
     def __init__(self, jobs: int):
         self.jobs = jobs
-        self.store = SharedPackStore()
         self.shard_dir = tempfile.mkdtemp(prefix="repro-shards-")
         # trace shards live in a subdirectory so the journal's shard merge
         # (non-recursive glob over shard_dir) never sees them
@@ -414,22 +385,20 @@ class _GridSession:
         self._pool: Optional[ProcessPoolExecutor] = None
 
     def pool(self) -> ProcessPoolExecutor:
-        """The (lazily forked) worker pool; initial handles ride along."""
+        """The (lazily forked) worker pool."""
         if self._pool is None:
             self._pool = ProcessPoolExecutor(
                 max_workers=self.jobs,
                 initializer=_init_worker,
-                initargs=(self.shard_dir, tuple(self.store.handles()),
-                          current_tracer() is not None),
+                initargs=(self.shard_dir, current_tracer() is not None),
             )
         return self._pool
 
     def close(self) -> None:
-        """Shut the pool down, unlink every shm segment, drop the shard dir."""
+        """Shut the pool down (joining every worker), drop the shard dir."""
         if self._pool is not None:
             self._pool.shutdown()
             self._pool = None
-        self.store.close()
         shutil.rmtree(self.shard_dir, ignore_errors=True)
 
 
@@ -438,12 +407,12 @@ _SESSION: Optional[_GridSession] = None
 
 @contextmanager
 def grid_session(jobs: int = 1) -> Iterator[Optional[_GridSession]]:
-    """Reuse one pool/pack store across every parallel batch inside.
+    """Reuse one pool and shard dir across every parallel batch inside.
 
     A grid of several ``run_cells``/``run_mix_cells`` batches (Fig. 19's
-    isolation and mix batches, several sweeps) forks its workers once and
-    publishes each workload's pack once.  Nesting is a no-op (the outermost
-    session wins), as is ``jobs<=1``.
+    isolation and mix batches, several sweeps) forks its workers once, and
+    each worker keeps its packs warm across batches.  Nesting is a no-op
+    (the outermost session wins), as is ``jobs<=1``.
     """
     global _SESSION
     if _SESSION is not None or jobs <= 1:
@@ -460,33 +429,24 @@ def grid_session(jobs: int = 1) -> Iterator[Optional[_GridSession]]:
 
 def _affine_groups(
     cells: Sequence[Cell], pending: Sequence[int]
-) -> list[tuple[list[int], Any, int, int]]:
+) -> list[tuple[list[int], int, int]]:
     """Group pending cell indices by (workload identity, pack window).
 
-    Returns ``(indices, workload, warmup, sim)`` per group, in first-seen
-    order.  The window comes from each cell's *built* config (so per-suite
-    adjustments like QMM half-length windows are respected), which is also
-    exactly the window ``get_packed`` will be called with inside the run.
+    Returns ``(indices, warmup, sim)`` per group, in first-seen order.  The
+    window comes from each cell's *built* config (so per-suite adjustments
+    like QMM half-length windows are respected), which is also exactly the
+    window the worker's ``get_packed`` will pack.
     """
-    groups: dict[tuple, tuple[list[int], Any, int, int]] = {}
-    order: list[tuple] = []
+    groups: dict[tuple, tuple[list[int], int, int]] = {}
     for i in pending:
         cell = cells[i]
-        workload = cell.resolve_workload()
-        config = build_config(cell, workload)
-        key = (
-            cell.workload,
-            id(cell.workload_obj) if cell.workload_obj is not None else None,
-            config.warmup_instructions,
-            config.sim_instructions,
-        )
-        group = groups.get(key)
-        if group is None:
-            groups[key] = group = ([], workload, config.warmup_instructions,
-                                   config.sim_instructions)
-            order.append(key)
-        group[0].append(i)
-    return [groups[key] for key in order]
+        config = build_config(cell, cell.resolve_workload())
+        window = (config.warmup_instructions, config.sim_instructions)
+        key = (cell.workload,
+               id(cell.workload_obj) if cell.workload_obj is not None else None,
+               *window)
+        groups.setdefault(key, ([], *window))[0].append(i)
+    return list(groups.values())
 
 
 #: relative drive-loop cost per page-cross policy, against the discard
@@ -512,37 +472,25 @@ def chunk_cost(cells: Sequence[Any], indices: Sequence[int],
                records: int) -> float:
     """Estimated wall-clock weight of one workload-affine chunk.
 
-    ``records`` is the chunk's pack length (every cell replays the whole
-    pack, so per-cell work is proportional to it); each cell contributes
-    ``records × policy_cost_weight(policy)``.  Used to dispatch chunks
-    costliest-first — see the module docstring.
+    ``records`` is the chunk's trace window, warm-up + measured
+    instructions (every cell replays the whole window, so per-cell work is
+    proportional to it, and records ≈ instructions for gap-light traces);
+    each cell contributes ``records × policy_cost_weight(policy)``.  Used to
+    dispatch chunks costliest-first — see the module docstring.
     """
     return float(records) * sum(
         policy_cost_weight(cells[i].policy or cells[i].spec.policy)
         for i in indices)
 
 
-def _publish(store: SharedPackStore, workload: Any, warmup: int,
-             sim: int) -> tuple[tuple[PackHandle, ...], int]:
-    """Publish one workload's pack; returns its handles and record count.
-
-    Unpublishable packs yield no handle, and their window stands in for the
-    record count (records ≈ instructions for gap-light traces).
-    """
-    handle = store.publish(workload, warmup, sim)
-    if handle is None:
-        return (), warmup + sim
-    return (handle,), handle.n_records
-
-
-#: one planned chunk: (cell indices, pack handles, force_packed, cost)
-_Chunk = tuple[list[int], tuple[PackHandle, ...], bool, float]
+#: one planned chunk: (cell indices, estimated cost)
+_Chunk = tuple[list[int], float]
 
 
 def _run_on_pool(
     cells: Sequence[Any],
     workers: int,
-    plan: Callable[[SharedPackStore], list[_Chunk]],
+    chunks: Sequence[_Chunk],
     execute: Callable[..., list],
     finish: Callable[[int, Any], None],
     obs: Optional["Observability"],
@@ -550,10 +498,9 @@ def _run_on_pool(
 ) -> None:
     """Run a batch's chunks on the grid session's worker pool.
 
-    ``plan(store)`` publishes the batch's packs and returns its chunks;
-    they dispatch costliest-first to :func:`_run_chunk_worker`, which runs
-    each through ``execute``.  ``finish(i, result)`` lands every result as
-    its chunk completes.  Worker metric deltas, journal shards and trace
+    ``chunks`` dispatch costliest-first to :func:`_run_chunk_worker`, which
+    runs each through ``execute``.  ``finish(i, result)`` lands every
+    result as its chunk completes.  Worker metric deltas, journal shards and trace
     shards are merged into the parent's registry, journal and tracer.
     Without an enclosing :func:`grid_session` the batch builds (and closes)
     its own session of ``workers`` processes.
@@ -569,15 +516,14 @@ def _run_on_pool(
     if ephemeral:
         session = _GridSession(workers)
     try:
-        chunks = sorted(plan(session.store), key=lambda c: -c[3])  # costliest first
         pool = session.pool()
         trace_dir = session.trace_dir if current_tracer() is not None else None
         futures = {
             pool.submit(
                 _run_chunk_worker, execute, [(i, cells[i]) for i in piece],
-                handles, journal is not None, force_packed, trace_dir,
+                journal is not None, trace_dir,
             ): piece
-            for piece, handles, force_packed, _cost in chunks
+            for piece, _cost in sorted(chunks, key=lambda c: -c[1])  # costliest first
         }
         registry = get_metrics()
         for future in as_completed(futures):
@@ -685,21 +631,15 @@ def run_cells(
             for i, result in zip(group, execute_cells([cells[i] for i in group], obs=obs)):
                 finish(i, result)
     else:
-        def plan(store: SharedPackStore) -> list[_Chunk]:
-            # split each workload's run into chunks small enough to load-
-            # balance, but never split a chunk across workloads
-            chunk_size = max(1, -(-len(pending) // (workers * 2)))
-            chunks: list[_Chunk] = []
-            for indices, workload, warmup, sim in _affine_groups(cells, pending):
-                handles, records = _publish(store, workload, warmup, sim)
-                for at in range(0, len(indices), chunk_size):
-                    piece = indices[at:at + chunk_size]
-                    # a shipped handle means the worker replays the attached pack
-                    chunks.append((piece, handles, bool(handles),
-                                   chunk_cost(cells, piece, records)))
-            return chunks
-
-        _run_on_pool(cells, workers, plan, execute_cells, finish, obs, prog)
+        # split each workload's run into chunks small enough to load-
+        # balance, but never split a chunk across workloads
+        chunk_size = max(1, -(-len(pending) // (workers * 2)))
+        chunks: list[_Chunk] = []
+        for indices, warmup, sim in _affine_groups(cells, pending):
+            for at in range(0, len(indices), chunk_size):
+                piece = indices[at:at + chunk_size]
+                chunks.append((piece, chunk_cost(cells, piece, warmup + sim)))
+        _run_on_pool(cells, workers, chunks, execute_cells, finish, obs, prog)
 
     missing = [i for i, r in enumerate(results) if r is None]
     if missing:  # pragma: no cover - defensive; every path above fills results
@@ -754,24 +694,13 @@ def build_mix_config(cell: MixCell) -> SimConfig:
     return config
 
 
-def execute_mix_cell(
-    cell: MixCell, *, obs: Optional["Observability"] = None,
-    force_packed: bool = False,
-) -> "MixResult":
-    """Run one mix cell in the current process (the `jobs=1` path).
-
-    ``force_packed`` routes the mix through the packed drive loop
-    (bit-identical by contract; see
-    :func:`repro.validate.check_mix_packed_matches_generator`) — set for
-    mixes dispatched to workers, so each core replays its shm-attached or
-    worker-local pack instead of regenerating records per policy.
-    """
+def execute_mix_cell(cell: MixCell, *,
+                     obs: Optional["Observability"] = None) -> "MixResult":
+    """Run one mix cell in the current process."""
     from repro.cpu.multicore import simulate_mix
 
     workloads = cell.resolve_workloads()
     config = build_mix_config(cell)
-    if force_packed and not config.packed:
-        config.packed = True
     start = perf_counter()
     with trace_span("mix-cell", category="grid",
                     mix=cell.mix_id, policy=_policy_of(cell), cores=len(workloads)):
@@ -785,10 +714,10 @@ def execute_mix_cell(
     return result
 
 
-def execute_mix_cells(cells: Sequence[MixCell], *, obs: Optional["Observability"] = None,
-                      force_packed: bool = False) -> list["MixResult"]:
+def execute_mix_cells(cells: Sequence[MixCell], *,
+                      obs: Optional["Observability"] = None) -> list["MixResult"]:
     """Run mix cells in the current process, one after another."""
-    return [execute_mix_cell(cell, obs=obs, force_packed=force_packed) for cell in cells]
+    return [execute_mix_cell(cell, obs=obs) for cell in cells]
 
 
 #: callback fired as each mix's result lands: (cell index, result, cached?)
@@ -807,13 +736,13 @@ def run_mix_cells(
 
     Scheduling is mix-affine: **one mix = one chunk**, so a worker steps all
     eight cores of a mix against their shared LLC+DRAM without interleaving
-    other work.  The parent publishes every mix workload's pack (at its
-    QMM-halved window where applicable) through the session's shared store
-    exactly once — mixes overlap heavily in workloads, so later mixes attach
-    the columns the first one paid for.  Worker-dispatched mixes run the
-    packed drive loop (bit-identical to the serial generator loop); there is
-    no result cache at the mix level — the cacheable unit is the *isolation*
-    run, which is an ordinary :class:`Cell`.
+    other work, packing each core's workload (at its QMM-halved window where
+    applicable) through its own pack cache — mixes overlap heavily in
+    workloads, so a worker's later mixes reuse the packs its earlier ones
+    paid for.  Worker-dispatched mixes run the packed drive loop
+    (bit-identical to the serial generator loop); there is no result cache
+    at the mix level — the cacheable unit is the *isolation* run, which is
+    an ordinary :class:`Cell`.
     """
     cells = list(cells)
     if jobs < 1:
@@ -838,24 +767,17 @@ def run_mix_cells(
                 prog.cell_start(i, cells[i].label(), _policy_of(cells[i]))
             finish(i, execute_mix_cell(cells[i], obs=obs))
     else:
-        def plan(store: SharedPackStore) -> list[_Chunk]:
-            chunks: list[_Chunk] = []
-            for i, cell in enumerate(cells):
-                weight = policy_cost_weight(_policy_of(cell))
-                handles: tuple[PackHandle, ...] = ()
-                cost = 0.0
-                for workload in cell.resolve_workloads():
-                    warmup, sim = trace_window(workload, cell.spec.warmup_instructions,
-                                               cell.spec.sim_instructions)
-                    published, records = _publish(store, workload, warmup, sim)
-                    handles += published
-                    cost += records * weight
-                # a mix's wall-clock tracks its total per-core record mass;
-                # workers always run the packed mix loop
-                chunks.append(([i], handles, True, cost))
-            return chunks
-
-        _run_on_pool(cells, workers, plan, execute_mix_cells, finish, obs, prog)
+        # a mix's wall-clock tracks its total per-core window mass
+        chunks: list[_Chunk] = [
+            ([i], chunk_cost(cells, [i], sum(
+                sum(trace_window(workload, cell.spec.warmup_instructions,
+                                 cell.spec.sim_instructions))
+                for workload in cell.resolve_workloads())))
+            for i, cell in enumerate(cells)
+        ]
+        # workers always run the packed mix loop
+        packed = [replace(cell, spec=replace(cell.spec, packed=True)) for cell in cells]
+        _run_on_pool(packed, workers, chunks, execute_mix_cells, finish, obs, prog)
 
     missing = [i for i, r in enumerate(results) if r is None]
     if missing:  # pragma: no cover - defensive; every path above fills results

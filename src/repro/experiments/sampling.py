@@ -331,9 +331,8 @@ def _sub_pack(packed: PackedTrace, first: int, last: int, *,
               warmup: int, sim: int) -> PackedTrace:
     """A :class:`PackedTrace` over records ``[first, last)`` of ``packed``.
 
-    Column slices are cheap (``array`` slices copy a few hundred KB at most;
-    shm ``memoryview`` slices are zero-copy) and feed the fused record
-    kernel unchanged.
+    Column slices are cheap (``array`` slices copy a few hundred KB at most)
+    and feed the fused record kernel unchanged.
     """
     return PackedTrace(
         packed.name, packed.suite,

@@ -21,7 +21,7 @@ from typing import IO, TYPE_CHECKING, Any, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     # annotation-only: a runtime import would make `repro.obs` depend on
-    # `repro.cpu`, and the low-level packages (workloads.shm, cpu.simulator)
+    # `repro.cpu`, and the low-level packages (workloads.packed, cpu.simulator)
     # import `repro.obs.metrics` at module top — keeping this lazy is what
     # lets the obs package sit below everything it instruments
     from repro.cpu.simulator import SimConfig, SimResult

@@ -3,7 +3,7 @@
 Every process — the parent driving a grid and each pool worker — owns one
 :data:`REGISTRY` (via :func:`get_metrics`).  Subsystems register named
 instruments once and bump them at *event* granularity (a pack-cache miss, a
-published shm segment, a finished grid cell): nothing in the per-record drive
+pack-cache eviction, a finished grid cell): nothing in the per-record drive
 loops touches the registry, so the telemetry contract of PR 1 holds — with
 every sink disabled the simulator runs the exact unobserved hot path, and the
 instrument updates that do happen are O(events), not O(records).

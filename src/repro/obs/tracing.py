@@ -2,12 +2,12 @@
 
 A :class:`Tracer` records *complete* spans — ``(name, category, start,
 duration, pid, tid, args)`` — for the coarse phases of a grid cell's life:
-packing a trace, attaching an shm segment, driving the simulation, collecting
-the result, and writing the result cache.  Tracing is strictly opt-in: the
-process-wide slot (:func:`install_tracer` / :func:`current_tracer`) defaults
-to ``None`` and every instrumentation site checks it at span granularity
-(per cell / per drive — never inside the per-record loops), so a run without
-a tracer executes the exact unobserved hot path.
+packing a trace, driving the simulation, collecting the result, and writing
+the result cache.  Tracing is strictly opt-in: the process-wide slot
+(:func:`install_tracer` / :func:`current_tracer`) defaults to ``None`` and
+every instrumentation site checks it at span granularity (per cell / per
+drive — never inside the per-record loops), so a run without a tracer
+executes the exact unobserved hot path.
 
 Cross-process discipline mirrors the run journal's shard merge: grid workers
 install a tracer whose span buffer is flushed to a per-process JSONL shard

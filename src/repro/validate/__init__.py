@@ -8,7 +8,7 @@ Two complementary layers guard the simulator's headline counters:
   ``SimConfig(validate=True)`` or the CLI's ``--validate`` flag;
 * :func:`run_validation_suite` (:mod:`repro.validate.differential`) runs
   metamorphic checks over the production code paths — determinism,
-  parallel == serial, shm grid == serial, discard == source suppression,
+  parallel == serial, discard == source suppression,
   epoch invariance, packed == generator (single-core and per mix core),
   replayed prefetch-candidate streams == live prefetchers
   (:func:`check_prefetch_replay_matches_live`), policy lockstep == solo
@@ -27,7 +27,6 @@ from repro.validate.differential import (
     check_policy_ensemble_matches_solo,
     check_prefetch_replay_matches_live,
     check_sampled_matches_full,
-    check_shm_grid_matches_serial,
     result_diff,
     run_validation_suite,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "check_policy_ensemble_matches_solo",
     "check_prefetch_replay_matches_live",
     "check_sampled_matches_full",
-    "check_shm_grid_matches_serial",
     "InvariantChecker",
     "InvariantViolation",
     "reintroduce_stale_mshr_bug",

@@ -9,9 +9,6 @@ field by field:
   are all seeded);
 * **parallel-vs-serial** — a randomized batch of grid cells executed with
   ``jobs=N`` equals the same batch executed serially (``jobs=1``);
-* **shm-grid-vs-serial** — the same grid run through the zero-copy
-  shared-memory pack store (workers attach the parent's published packs)
-  equals serial execution, and no ``/dev/shm`` segment survives the run;
 * **discard-source equivalence** — running ``DiscardPgc`` equals running a
   prefetcher wrapper that suppresses page-cross candidates at the source
   (the policy layer must be side-effect-free when it discards); only the
@@ -526,43 +523,6 @@ def check_mix_packed_matches_generator(*, warmup: int, sim: int,
     return outcomes
 
 
-def check_shm_grid_matches_serial(workload_names: Sequence[str], *,
-                                  policies: Sequence[str], prefetcher: str,
-                                  warmup: int, sim: int, jobs: int) -> CheckOutcome:
-    """The shared-memory grid path equals serial execution, and cleans up.
-
-    Runs the (workload × policy) grid once serially and once on a worker
-    pool, whose session always carries the zero-copy pack store: workers
-    attach the parent's published segments instead of re-packing, and must
-    produce field-identical results.  Afterwards no ``repro-pack-*`` segment may
-    remain in ``/dev/shm`` — a leak means a store outlived its session.
-    """
-    from repro.experiments.parallel import grid_session
-    from repro.workloads.shm import live_segments
-
-    cells = [
-        cell_for(by_name(name), _spec(prefetcher, policy, warmup, sim))
-        for name in workload_names
-        for policy in policies
-    ]
-    serial = run_cells(cells, jobs=1)
-    with grid_session(max(2, jobs)):
-        shared = run_cells(cells, jobs=max(2, jobs))
-    name = f"shm-grid-vs-serial[{len(cells)} cells]"
-    for i, (a, b) in enumerate(zip(serial, shared)):
-        diffs = result_diff(a, b)
-        if diffs:
-            cell = cells[i]
-            return CheckOutcome(
-                name, False,
-                f"cell {i} ({cell.workload}/{cell.spec.policy}): " + _summarise(diffs),
-            )
-    leaked = live_segments()
-    if leaked:
-        return CheckOutcome(name, False, f"leaked shm segments: {', '.join(leaked)}")
-    return CheckOutcome(name, True, f"{len(cells)} cells identical, no segments leaked")
-
-
 def check_invariants_clean(workload_names: Sequence[str], *, policies: Sequence[str],
                            prefetcher: str, warmup: int, sim: int) -> list[CheckOutcome]:
     """Every (workload x policy) run passes a full invariant pass."""
@@ -650,9 +610,6 @@ def run_validation_suite(
     record(check_parallel_matches_serial(
         workload_names, policies=policies, warmup=warmup, sim=sim,
         seed=seed, fuzz_cells=fuzz_cells, jobs=jobs))
-    record(check_shm_grid_matches_serial(
-        workload_names, policies=policies, prefetcher=prefetcher,
-        warmup=warmup, sim=sim, jobs=jobs))
     record(check_discard_source_equivalence(anchor, prefetcher=prefetcher,
                                             warmup=warmup, sim=sim))
     record(check_epoch_invariance(anchor, prefetcher=prefetcher,

@@ -15,18 +15,8 @@ from repro.workloads.packed import (
     PackIndex,
     clear_pack_cache,
     get_packed,
-    install_shared_provider,
     pack_cache_stats,
     set_pack_cache_capacity,
-)
-from repro.workloads.shm import (
-    PackHandle,
-    SharedPackStore,
-    attach_pack,
-    detach_all,
-    install_attachments,
-    live_segments,
-    reap_stale_segments,
 )
 from repro.workloads.synthetic import SyntheticWorkload
 from repro.workloads.trace import BRANCH, DEPENDS, LOAD, MISPREDICT, STORE, TAKEN, Record, Workload
@@ -54,16 +44,8 @@ __all__ = [
     "PackIndex",
     "clear_pack_cache",
     "get_packed",
-    "install_shared_provider",
     "pack_cache_stats",
     "set_pack_cache_capacity",
-    "PackHandle",
-    "SharedPackStore",
-    "attach_pack",
-    "detach_all",
-    "install_attachments",
-    "live_segments",
-    "reap_stale_segments",
     "SyntheticWorkload",
     "BRANCH",
     "DEPENDS",

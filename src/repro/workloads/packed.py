@@ -18,12 +18,8 @@ slack margin.
 :func:`get_packed` adds a small process-wide cache keyed by workload identity
 and window, which is what lets the grid cells of
 :mod:`repro.experiments.parallel` share one materialisation across every
-(prefetcher × policy) cell of the same workload.  A *shared provider*
-(:func:`install_shared_provider`) is consulted before the cache: worker
-processes of an shm-backed grid install one that attaches zero-copy
-:class:`PackedTrace` views over the parent's published segments
-(:mod:`repro.workloads.shm`), bypassing the local cache — and its memory —
-entirely.
+(prefetcher × policy) cell of the same workload — in the calling process or,
+under ``jobs>1``, in each worker that runs the workload's chunk.
 """
 
 from __future__ import annotations
@@ -274,9 +270,7 @@ class PackedTrace:
     def columns(self):
         """Zero-copy numpy views over the four columns.
 
-        Works over both locally packed ``array`` columns and the
-        ``memoryview`` columns of an shm/file-attached pack — anything
-        exposing the buffer protocol.  Returned as
+        Works over any column exposing the buffer protocol.  Returned as
         ``(pcs u64, vaddrs u64, flags u16, gaps u32)``, cached per pack.
         """
         if self._views is None:
@@ -291,12 +285,7 @@ class PackedTrace:
         return self._views
 
     def index(self) -> PackIndex:
-        """The pack's :class:`PackIndex` (built once, cached).
-
-        shm-attached packs build their own index per process — the derived
-        arrays are private to the attaching worker, only the four raw
-        columns are shared.
-        """
+        """The pack's :class:`PackIndex` (built once, cached)."""
         if self._index is None:
             self._index = PackIndex(self)
         return self._index
@@ -307,8 +296,7 @@ class PackedTrace:
         Built from a fresh ``make_l1d_prefetcher(prefetcher,
         extra_storage_bytes=extra_storage)``, which must declare itself
         ``replayable``.  The stream lives exactly as long as the pack (it
-        leaves the process with the pack's pack-cache entry); shm-attached
-        packs build their own per process, like :meth:`index`.
+        leaves the process with the pack's pack-cache entry).
         """
         key = (prefetcher, extra_storage)
         stream = self._streams.get(key)
@@ -378,7 +366,7 @@ _ANON_REFS: dict[tuple, "weakref.ref[Workload]"] = {}
 #: on insert/evict/clear so the gauge update is O(1) on the pack hot path
 _CACHE_BYTES = 0
 
-#: lazily bound (hits, misses, evictions, shared_hits, bytes-gauge) registry
+#: lazily bound (hits, misses, evictions, bytes-gauge) registry
 #: instruments — bound on first use because `repro.workloads` and `repro.obs`
 #: import each other's packages (same cycle `log_event` dodges below)
 _PACK_METRICS = None
@@ -394,8 +382,6 @@ def _pack_metrics():
             reg.counter("pack_cache.hits", "pack-cache lookups served locally"),
             reg.counter("pack_cache.misses", "pack-cache lookups that packed"),
             reg.counter("pack_cache.evictions", "packs evicted by the LRU bound"),
-            reg.counter("pack_cache.shared_hits",
-                        "lookups served by the shared (shm) provider"),
             reg.gauge("pack_cache.bytes", "resident bytes of locally cached packs"),
         )
     return _PACK_METRICS
@@ -404,22 +390,7 @@ def _pack_metrics():
 def _update_bytes_gauge() -> None:
     """Publish the running byte total (O(1); the total is maintained
     incrementally on insert/evict/clear, never re-summed on the hot path)."""
-    _pack_metrics()[4].set(_CACHE_BYTES)
-
-#: consulted by :func:`get_packed` before the local cache; returns a shared
-#: (e.g. shm-attached) pack for a key, or None to fall through.  Installed by
-#: :mod:`repro.workloads.shm` in grid worker processes.
-_SHARED_PROVIDER: Optional[Callable[[tuple], Optional[PackedTrace]]] = None
-
-
-def install_shared_provider(provider: Optional[Callable[[tuple], Optional[PackedTrace]]]) -> None:
-    """Install (or with ``None`` remove) the shared pack provider.
-
-    Provider hits bypass the local LRU entirely: shared packs are owned by
-    their publishing process and must not pin duplicate buffers here.
-    """
-    global _SHARED_PROVIDER
-    _SHARED_PROVIDER = provider
+    _pack_metrics()[3].set(_CACHE_BYTES)
 
 
 def set_pack_cache_capacity(capacity: int) -> int:
@@ -446,12 +417,11 @@ def pack_cache_stats() -> dict[str, int]:
     :class:`~repro.obs.metrics.MetricsRegistry` (so grid workers ship them
     back with their chunks); this accessor keeps the historical dict shape.
     """
-    hits, misses, evictions, shared, _bytes = _pack_metrics()
+    hits, misses, evictions, _bytes = _pack_metrics()
     return {
         "hits": int(hits.total()),
         "misses": int(misses.total()),
         "evictions": int(evictions.total()),
-        "shared_hits": int(shared.total()),
         "size": len(_PACK_CACHE),
         "capacity": _CACHE_CAPACITY,
     }
@@ -504,21 +474,14 @@ def get_packed(workload: Workload, warmup: int, sim: int, *,
     """Return a (cached) :class:`PackedTrace` covering the given window.
 
     The cache is process-wide and LRU-bounded (``capacity`` overrides the
-    bound for this call and onwards).  In shm-backed grid workers a shared
-    provider serves zero-copy attachments first — those never enter the
-    local cache.  Without one, each worker process builds its own packs
-    (the arrays are picklable, but shipping them per cell would cost more
-    than re-packing once per worker).
+    bound for this call and onwards).  Each grid worker process builds its
+    own packs (the arrays are picklable, but shipping them per cell would
+    cost more than packing once per worker).
     """
     if capacity is not None:
         set_pack_cache_capacity(capacity)
     metrics = _pack_metrics()
     key = _pack_key(workload, warmup, sim)
-    if _SHARED_PROVIDER is not None:
-        packed = _SHARED_PROVIDER(key)
-        if packed is not None:
-            metrics[3].inc()
-            return packed
     packed = _PACK_CACHE.get(key)
     if packed is not None:
         metrics[0].inc()

@@ -1,5 +1,8 @@
 """Parallel/cached grid execution: serial equivalence, caching, journaling."""
 
+import os
+from pathlib import Path
+
 import pytest
 
 from repro.experiments.cache import ResultCache
@@ -15,7 +18,6 @@ from repro.experiments.parallel import (
 from repro.experiments.runner import RunSpec, run_many, run_policies
 from repro.experiments.sweep import sweep_epoch_length, sweep_parameter
 from repro.obs import Observability, RunJournal, read_journal
-from repro.obs.metrics import get_metrics
 from repro.workloads import by_name
 
 FAST = RunSpec(warmup_instructions=1_000, sim_instructions=3_000)
@@ -35,6 +37,24 @@ class _NameOnly:
 
     def generate(self):
         return by_name(self.name).generate()
+
+
+def _children() -> list[int]:
+    """Pids whose parent is this process, read from ``/proc/<pid>/stat``."""
+    proc = Path("/proc")
+    if not (proc / "self" / "stat").exists():
+        pytest.skip("needs a /proc filesystem")
+    me = os.getpid()
+    children = []
+    for stat in proc.glob("[0-9]*/stat"):
+        try:
+            text = stat.read_text()
+        except OSError:  # the process exited mid-scan
+            continue
+        # fields after the parenthesised command name: state, ppid, ...
+        if int(text[text.rindex(")") + 2:].split()[1]) == me:
+            children.append(int(stat.parent.name))
+    return children
 
 
 class TestCellBasics:
@@ -222,10 +242,8 @@ class TestAffineScheduling:
             for w in ("astar", "hmmer")
         ]
         groups = _affine_groups(cells, range(len(cells)))
-        assert [(idx, w.name) for idx, w, _, _ in groups] == [
-            ([0, 2], "astar"), ([1, 3], "hmmer"),
-        ]
-        assert all((warm, sim) == (1_000, 3_000) for _, _, warm, sim in groups)
+        assert [idx for idx, _, _ in groups] == [[0, 2], [1, 3]]
+        assert all((warm, sim) == (1_000, 3_000) for _, warm, sim in groups)
 
     def test_window_splits_groups(self):
         from dataclasses import replace
@@ -233,7 +251,7 @@ class TestAffineScheduling:
         longer = replace(FAST, sim_instructions=4_000)
         cells = [cell_for(by_name("astar"), spec) for spec in (FAST, longer, FAST)]
         groups = _affine_groups(cells, range(len(cells)))
-        assert [idx for idx, _, _, _ in groups] == [[0, 2], [1]]
+        assert [(idx, sim) for idx, _, sim in groups] == [([0, 2], 3_000), ([1], 4_000)]
 
 
 class TestCostAwareScheduling:
@@ -272,9 +290,9 @@ class TestCostAwareScheduling:
 
 
 class TestSharedMemoryGrid:
-    def test_shm_grid_matches_serial_without_leaks(self):
-        from repro.workloads.shm import live_segments
+    """Pool grids, whose workers pack each workload themselves, match serial."""
 
+    def test_shm_grid_matches_serial_without_leaks(self):
         cells = [
             cell_for(by_name(w), FAST, policy=p)
             for w in ("astar", "hmmer")
@@ -283,56 +301,41 @@ class TestSharedMemoryGrid:
         serial = run_cells(cells, jobs=1)
         shared = run_cells(cells, jobs=2)
         assert shared == serial
-        assert live_segments() == []
+        assert _children() == []
 
     def test_session_reuses_store_across_batches(self):
-        from repro.workloads.shm import live_segments
-
         cells = [cell_for(by_name("astar"), FAST, policy=p)
                  for p in ("discard", "permit")]
         serial = run_cells(cells, jobs=1)
         with grid_session(2) as session:
             first = run_cells(cells, jobs=2)
+            pool = session.pool()
             second = run_cells(cells, jobs=2)
-            assert len(session.store.handles()) == 1  # published once
+            assert session.pool() is pool  # forked once for both batches
         assert first == serial and second == serial
-        assert live_segments() == []
 
     def test_unpublishable_workload_packs_in_workers(self):
-        # no seed or path: the store cannot publish it, so each worker packs
-        # its own copy — and must still match the serial run
+        # no seed or path: the workload is id-keyed in each worker's pack
+        # cache — and must still match the serial run
         cells = [cell_for(_NameOnly(w), FAST) for w in ("astar", "hmmer")]
-        published = get_metrics().counter("shm.published")
-        before = published.total()
         shared = run_cells(cells, jobs=2)
-        assert published.total() == before
         assert shared == run_cells(cells, jobs=1)
 
-    def test_workers_run_the_published_packs(self):
-        # a batch must publish each pack at the window its cores run (QMM
-        # cores run half-length windows); a wrong window is invisible in
-        # the results because the workers would silently repack
+    def test_qmm_mix_cores_match_serial(self):
+        # QMM cores run half-length windows; pool workers run the packed mix
+        # loop, which must equal the serial generator mix loop core for core
+        from dataclasses import replace
+
         from repro.experiments.parallel import mix_cell_for, run_mix_cells
-        from repro.workloads.packed import get_packed
-        from repro.workloads.trace import trace_window
 
-        workloads = _workloads(("qmm_int_13", "astar"))
-        for workload in workloads:
-            get_packed(workload, *trace_window(
-                workload, FAST.warmup_instructions, FAST.sim_instructions))
-        registry = get_metrics()
-        mark = registry.snapshot()
-        run_cells([cell_for(w, FAST, policy=p) for w in workloads
-                   for p in ("discard", "permit")], jobs=2)
-        run_mix_cells([mix_cell_for(workloads, FAST, policy=p, mix_id=0)
-                       for p in ("discard", "permit")], jobs=2)
-        delta = registry.snapshot().delta(mark).counters
-
-        def total(name):
-            return sum(delta.get(name, {"series": {}})["series"].values())
-
-        assert total("pack_cache.misses") == 0
-        assert total("pack_cache.shared_hits") > 0
+        spec = replace(FAST, packed=False)
+        cells = [mix_cell_for(_workloads(("qmm_int_13", "astar")), spec,
+                              policy=p, mix_id=0)
+                 for p in ("discard", "permit")]
+        serial = run_mix_cells(cells, jobs=1)
+        pooled = run_mix_cells(cells, jobs=2)
+        assert pooled == serial
+        assert all(r.instructions > 0 for mix in pooled for r in mix.results)
 
     def test_run_policies_shm_matches_serial(self):
         workloads = _workloads(("astar", "hmmer"))
@@ -352,6 +355,27 @@ class TestSharedMemoryGrid:
         obs.close()
         assert len(read_journal(journal)) == 4  # 2 batches x 2 cells, once each
         assert obs.runs == 4
+
+
+class TestNoProcessOutlivesGrid:
+    """A finished grid leaves no child process behind (workers, helpers)."""
+
+    def test_run_cells_leaves_no_child(self):
+        cells = [cell_for(w, FAST, policy=p) for w in _workloads(("astar", "hmmer"))
+                 for p in ("discard", "permit")]
+        run_cells(cells, jobs=2)
+        assert _children() == []
+
+    def test_closed_session_leaves_no_child(self):
+        from repro.experiments.parallel import mix_cell_for, run_mix_cells
+
+        workloads = _workloads(("astar", "hmmer"))
+        with grid_session(2):
+            run_cells([cell_for(w, FAST) for w in workloads], jobs=2)
+            run_mix_cells([mix_cell_for(workloads, FAST, policy=p, mix_id=0)
+                           for p in ("discard", "permit")], jobs=2)
+            assert _children() != []  # the session's workers are alive
+        assert _children() == []
 
 
 class TestRunPoliciesPrefetcherFix:

@@ -160,7 +160,7 @@ class TestExporters:
         reg = MetricsRegistry()
         reg.counter("pack_cache.hits", "local hits").inc(3)
         reg.counter("grid.cells").inc(2, pid="7")
-        reg.gauge("shm.live_bytes").set(4096)
+        reg.gauge("pack_cache.bytes").set(4096)
         h = reg.histogram("grid.cell_seconds", buckets=(0.1, 1.0))
         h.observe(0.05)
         h.observe(0.5)
@@ -172,7 +172,7 @@ class TestExporters:
         assert "# TYPE pack_cache_hits_total counter" in text
         assert "pack_cache_hits_total 3" in text
         assert 'grid_cells_total{pid="7"} 2' in text
-        assert "shm_live_bytes 4096" in text
+        assert "pack_cache_bytes 4096" in text
         # cumulative buckets: 1, 2, 3 across the three bounds
         assert 'grid_cell_seconds_bucket{le="0.1"} 1' in text
         assert 'grid_cell_seconds_bucket{le="1.0"} 2' in text

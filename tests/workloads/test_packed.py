@@ -301,6 +301,32 @@ class TestPackedSimulation:
         packed = get_packed(w, 2_000, 6_000)
         assert result_diff(simulate(w, config), simulate(packed.replay(), config)) == {}
 
+    def _file_workload(self, tmp_path, instructions):
+        path = tmp_path / "trace.rptr"
+        snapshot_workload(by_name("astar"), path, instructions=instructions)
+        return FileWorkload(path)
+
+    @staticmethod
+    def _config(warmup, sim, packed=False):
+        return SimConfig(policy_factory=DiscardPgc, warmup_instructions=warmup,
+                         sim_instructions=sim, packed=packed)
+
+    def test_file_trace_window_matches_generator(self, tmp_path):
+        w = self._file_workload(tmp_path, instructions=12_000)
+        generator = simulate(w, self._config(1_000, 3_000))
+        packed = simulate(w, self._config(1_000, 3_000, packed=True))
+        assert result_diff(generator, packed) == {}
+
+    def test_file_trace_truncated_window_same_error(self, tmp_path):
+        # the snapshot ends mid-measurement: both paths must raise the same
+        # truncation error, not silently under-measure
+        w = self._file_workload(tmp_path, instructions=4_000)
+        with pytest.raises(ValueError, match="truncating") as generator:
+            simulate(w, self._config(2_000, 6_000))
+        with pytest.raises(ValueError, match="truncating") as packed:
+            simulate(w, self._config(2_000, 6_000, packed=True))
+        assert str(packed.value) == str(generator.value)
+
 
 class TestPrefetchStream:
     WINDOW = (2_000, 6_000)
