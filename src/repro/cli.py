@@ -63,7 +63,8 @@ from repro.core.introspect import filter_state, format_filter_state
 from repro.core.system_features import SYSTEM_FEATURES
 from repro.experiments.cache import ResultCache
 from repro.experiments.report import format_pct, format_table
-from repro.experiments.runner import RunSpec, run_one
+from repro.experiments.parallel import cell_for, run_cells
+from repro.experiments.runner import RunSpec
 from repro.experiments.sweep import (
     dram_latency_transform,
     dtlb_size_transform,
@@ -240,7 +241,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     workload = _resolve_workload(args)
     spec = _spec(args, args.policy)
     obs = _make_obs(args)
-    result = run_one(workload, spec, obs=obs)
+    result = run_cells([cell_for(workload, spec)], obs=obs)[0]
     if args.json:
         print(json.dumps(_json_payload(workload, spec, result, obs), indent=2))
     else:
@@ -275,8 +276,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
     workload = _resolve_workload(args)
     obs = _make_obs(args)
     cache = _make_cache(args)
-    from repro.experiments.parallel import cell_for, run_cells
-
     cells = [cell_for(workload, _spec(args, policy)) for policy in args.policies]
     results = run_cells(cells, jobs=args.jobs, cache=cache, obs=obs,
                         progress=_progress_sink(args))
@@ -368,7 +367,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     workload = _resolve_workload(args)
     spec = _spec(args, args.policy)
     obs = _make_obs(args, keep_engine=True)
-    result = run_one(workload, spec, obs=obs)
+    result = run_cells([cell_for(workload, spec)], obs=obs)[0]
     policy = obs.last_engine.policy
     if not isinstance(policy, PerceptronFilter):
         print(f"policy {policy.name!r} is not a perceptron filter; nothing to inspect",

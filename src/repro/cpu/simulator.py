@@ -12,7 +12,7 @@ from __future__ import annotations
 from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass, field, replace
 from time import perf_counter
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 from repro.core.ensemble import PolicyEnsemble, dispatch_of
 from repro.core.policies import DiscardPgc, PageCrossPolicy
@@ -354,32 +354,6 @@ def drive(engine: CoreEngine, workload: Workload, config: SimConfig) -> float:
     return wall_seconds
 
 
-def _drive_fresh(engine: CoreEngine, workload: Workload, config: SimConfig,
-                 sampler: AbstractContextManager = nullcontext()) -> float:
-    """Drive a freshly built engine over the config's window; returns wall seconds.
-
-    ``sampler`` (a :class:`~repro.obs.Probe`) is entered around the drive
-    itself, not around the trace packing and stream recording before it.
-    """
-    if config.packed:
-        from repro.cpu.fastpath import drive_packed
-        from repro.workloads.packed import get_packed
-
-        packed = get_packed(workload, config.warmup_instructions, config.sim_instructions)
-        with trace_span("drive", workload=workload.name, mode="packed"):
-            stream = None
-            if engine.prefetcher.replayable:
-                # this fresh engine drives the whole pack with a
-                # factory-built prefetcher, so its candidates are the
-                # pack's recorded stream (built by the first such drive)
-                stream = packed.prefetch_stream(
-                    config.prefetcher, config.prefetcher_extra_storage)
-            with sampler:
-                return drive_packed(engine, packed, config, stream)
-    with trace_span("drive", workload=workload.name, mode="generator"), sampler:
-        return drive(engine, workload, config)
-
-
 def simulate(
     workload: Workload, config: SimConfig, *, obs: Optional["Observability"] = None
 ) -> SimResult:
@@ -399,31 +373,16 @@ def simulate(
         from repro.experiments.sampling import simulate_sampled
 
         return simulate_sampled(workload, config, obs=obs)
-    engine = build_engine(config)
-    if obs is not None:
-        obs.attach(engine, workload)
-    checker = None
-    if config.validate:
-        from repro.validate import InvariantChecker
-
-        checker = InvariantChecker(obs=obs, workload=workload.name)
-        checker.attach(engine)
-    sampler = (obs.probe if obs is not None else None) or nullcontext()
-    wall_seconds = _drive_fresh(engine, workload, config, sampler)
-    with trace_span("collect", workload=workload.name), sampler:
-        result = collect_result(engine, workload.name, config)
-    if checker is not None:
-        checker.check_final(engine, result)
-    if obs is not None:
-        obs.finish(engine, workload, config, result, wall_seconds)
-    return result
+    return _drive_group(workload, [config], obs)[0]  # type: ignore[return-value]
 
 
 # ---------------------------------------------------------------------------
 # policy lockstep (DESIGN.md §17)
 
 
-def simulate_policies(workload: Workload, configs: Sequence[SimConfig]) -> list[SimResult]:
+def simulate_policies(workload: Workload, configs: Sequence[SimConfig], *,
+                      obs: Optional["Observability"] = None,
+                      contexts: Optional[Sequence[dict[str, Any]]] = None) -> list[SimResult]:
     """Run one workload under several configs; one result per config, in order.
 
     Every result equals ``simulate(workload, config)`` bit for bit.  Configs
@@ -438,16 +397,28 @@ def simulate_policies(workload: Workload, configs: Sequence[SimConfig]) -> list[
     ``filter_at_native_boundary``, and their prefetcher storage sizes are
     equal — or, on packed runs of a replayable prefetcher, the pack's
     :class:`~repro.workloads.packed.PrefetchStream` is the same for both.
-    A group of one, a sampled config and a ``validate=True`` config run
-    through :func:`simulate` alone.
+    A group of one runs through :func:`simulate`, so a sampled config
+    stitches its own engines.  ``obs`` instruments every drive and journals
+    one record per config, with ``contexts[i]`` merged into config *i*'s
+    ``context``.
     """
     results: list[Optional[SimResult]] = [None] * len(configs)
     for group in _lockstep_groups(workload, configs):
-        while len(group) > 1:
-            group = _drive_lockstep(workload, configs, group, results)
-        if group:
-            results[group[0]] = simulate(workload, configs[group[0]])
+        while group:
+            if len(group) == 1:
+                with _scoped(obs, contexts, group[0]):
+                    landed = [simulate(workload, configs[group[0]], obs=obs)]
+            else:
+                landed = _drive_group(workload, [configs[i] for i in group], obs,
+                                      contexts and [contexts[i] for i in group])
+            for i, result in zip(group, landed):
+                results[i] = result
+            diverged = [i for i, result in zip(group, landed) if result is None]
             POLICY_RUNS.inc(outcome="led")
+            if len(group) > 1:
+                POLICY_RUNS.inc(len(group) - 1 - len(diverged), outcome="shared")
+                POLICY_RUNS.inc(len(diverged), outcome="diverged")
+            group = diverged
     return results  # type: ignore[return-value]
 
 
@@ -456,7 +427,7 @@ def _lockstep_groups(workload: Workload, configs: Sequence[SimConfig]) -> list[l
     groups: list[list[int]] = []
     open_groups: list[tuple[SimConfig, tuple[bool, bool], SimConfig, list[int]]] = []
     for i, config in enumerate(configs):
-        if config.sampling is not None or config.validate:
+        if config.sampling is not None:
             groups.append([i])
             continue
         key = replace(config, policy_factory=DiscardPgc, prefetcher_extra_storage=0)
@@ -486,20 +457,67 @@ def _same_candidates(workload: Workload, a: SimConfig, b: SimConfig) -> bool:
             == packed.prefetch_stream(b.prefetcher, b.prefetcher_extra_storage))
 
 
-def _drive_lockstep(workload: Workload, configs: Sequence[SimConfig], group: list[int],
-                    results: list[Optional[SimResult]]) -> list[int]:
-    """One lockstep drive of ``group``; fills its sharers' results, returns the diverged."""
-    leader = configs[group[0]]
-    ensemble = PolicyEnsemble([configs[i].policy_factory() for i in group])
-    engine = build_engine(replace(leader, policy_factory=lambda: ensemble))
-    _drive_fresh(engine, workload, leader)
-    with trace_span("collect", workload=workload.name):
+def _scoped(obs: Optional["Observability"], contexts: Optional[Sequence[dict[str, Any]]],
+            i: int) -> AbstractContextManager:
+    """Config *i*'s journal context on ``obs`` (a no-op without either)."""
+    if obs is None or not contexts:
+        return nullcontext()
+    return obs.scoped(**contexts[i])
+
+
+def _drive_group(workload: Workload, configs: Sequence[SimConfig],
+                 obs: Optional["Observability"] = None,
+                 contexts: Optional[Sequence[dict[str, Any]]] = None,
+                 ) -> list[Optional[SimResult]]:
+    """Build one engine for ``configs`` (led by the first), drive and collect it once.
+
+    A lone config keeps its bare policy, so a lone DRIPPER keeps its fused
+    decision (DESIGN.md §9); several share a :class:`PolicyEnsemble`.
+    Returns one result per config, ``None`` for each member that diverged.
+    ``obs`` is finished once per config served, with its own policy and an
+    even share of the drive's wall seconds.
+    """
+    leader = configs[0]
+    policies = [config.policy_factory() for config in configs]
+    policy = policies[0] if len(policies) == 1 else PolicyEnsemble(policies)
+    engine = build_engine(replace(leader, policy_factory=lambda: policy))
+    if obs is not None:
+        obs.attach(engine, workload)
+    checker = None
+    if leader.validate:
+        from repro.validate import InvariantChecker
+
+        checker = InvariantChecker(obs=obs, workload=workload.name)
+        checker.attach(engine)
+    # the probe samples the drive itself, not the packing before it
+    sampler = (obs.probe if obs is not None else None) or nullcontext()
+    if leader.packed:
+        from repro.cpu.fastpath import drive_packed
+        from repro.workloads.packed import get_packed
+
+        packed = get_packed(workload, leader.warmup_instructions, leader.sim_instructions)
+        with trace_span("drive", workload=workload.name, mode="packed"):
+            # this fresh engine drives the whole pack with a factory-built
+            # prefetcher, so a replayable one's candidates are the pack's
+            # recorded stream (built by the first such drive)
+            stream = (packed.prefetch_stream(leader.prefetcher, leader.prefetcher_extra_storage)
+                      if engine.prefetcher.replayable else None)
+            with sampler:
+                wall_seconds = drive_packed(engine, packed, leader, stream)
+    else:
+        with trace_span("drive", workload=workload.name, mode="generator"), sampler:
+            wall_seconds = drive(engine, workload, leader)
+    with trace_span("collect", workload=workload.name), sampler:
         # once: MemoryHierarchy.finalize is not idempotent
         result = collect_result(engine, workload.name, leader)
-    results[group[0]] = result
-    for k in ensemble.live[1:]:
-        results[group[k]] = replace(result, policy=ensemble.members[k].name)
-    POLICY_RUNS.inc(outcome="led")
-    POLICY_RUNS.inc(len(ensemble.live) - 1, outcome="shared")
-    POLICY_RUNS.inc(len(ensemble.dropped), outcome="diverged")
-    return [group[k] for k in sorted(ensemble.dropped)]
+    if checker is not None:
+        checker.check_final(engine, result)
+    live = policy.live if isinstance(policy, PolicyEnsemble) else [0]
+    results: list[Optional[SimResult]] = [None] * len(configs)
+    for k in live:
+        results[k] = result if k == 0 else replace(result, policy=policies[k].name)
+        if obs is not None:
+            with _scoped(obs, contexts, k):
+                obs.finish(engine, workload, configs[k], results[k],
+                           wall_seconds / len(live), policy=policies[k])
+    return results

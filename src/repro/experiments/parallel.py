@@ -19,13 +19,16 @@ identity and pack window, and each worker receives whole per-workload chunks
 — so it packs a workload once (through its own
 :func:`~repro.workloads.packed.get_packed` LRU) and replays the pack across
 all of that workload's (prefetcher × policy × params) cells, instead of
-thrashing the pack cache by round-robining across workloads.
+thrashing the pack cache by round-robining across workloads.  A batch with
+few workloads is cut into smaller chunks so every worker has one: a
+workload whose policies diverge re-drives them one after another on one
+engine (DESIGN.md §17), which an idle worker beside it would not wait for.
 
 Both paths run each workload's cells through :func:`execute_cells`, which
 hands them to one :func:`~repro.cpu.simulator.simulate_policies` call: cells
 that differ only in their page-cross policy share one engine until their
 decisions diverge (DESIGN.md §17), and every result stays bit-identical to
-running the cell alone.
+running the cell alone, observed or not.
 
 Chunks dispatch **costliest-first**: each chunk's wall-clock is estimated as
 its cells' trace window (warm-up + measured instructions) × the relative
@@ -62,7 +65,7 @@ directory from double-counting earlier batches.  Per-cell grid coordinates
 travel *in the cell* (``Cell.context``), never by mutating a shared
 ``Observability`` — which is also what keeps the serial path's records free
 of stale coordinates.  Timelines and profiling probes are in-process
-instruments and remain ``jobs=1`` only.
+instruments: a batch that needs a pool rejects them.
 """
 
 from __future__ import annotations
@@ -71,14 +74,15 @@ import os
 import shutil
 import tempfile
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from time import perf_counter
 
-from repro.cpu.simulator import SimConfig, SimResult, simulate, simulate_policies
+from repro.cpu.simulator import SimConfig, SimResult, simulate_policies
+from repro.cpu.simulator import simulate  # noqa: F401 - perfbench's tracer patches it here
 from repro.experiments.cache import CACHE_SCHEMA, ResultCache, fingerprint
 from repro.experiments.runner import RunSpec, policy_factory
 from repro.obs.journal import describe_config, describe_workload
@@ -221,22 +225,6 @@ def _grid_metrics():
     return _GRID_METRICS
 
 
-def execute_cell(cell: Cell, *, obs: Optional["Observability"] = None) -> SimResult:
-    """Run one cell in the current process, alone on its engine."""
-    workload = cell.resolve_workload()
-    config = build_config(cell, workload)
-    start = perf_counter()
-    with trace_span("cell", category="grid",
-                    workload=cell.workload, policy=_policy_of(cell)):
-        if obs is not None:
-            with obs.scoped(spec=asdict(cell.spec), **(cell.context or {})):
-                result = simulate(workload, config, obs=obs)
-        else:
-            result = simulate(workload, config, obs=obs)
-    _account_cells([result], perf_counter() - start)
-    return result
-
-
 def execute_cells(cells: Sequence[Cell], *,
                   obs: Optional["Observability"] = None) -> list[SimResult]:
     """Run cells in the current process; results come back in input order.
@@ -244,21 +232,20 @@ def execute_cells(cells: Sequence[Cell], *,
     Each workload's cells go to one
     :func:`~repro.cpu.simulator.simulate_policies` call, so cells that
     differ only in their page-cross policy share an engine until their
-    decisions diverge (DESIGN.md §17).  With an ``obs`` bundle every cell
-    runs alone through :func:`execute_cell`: journals, timelines and probes
-    describe one engine per cell.
+    decisions diverge (DESIGN.md §17), observed or not; each cell's journal
+    record carries its ``spec`` and ``Cell.context``.
     """
-    if obs is not None:
-        return [execute_cell(cell, obs=obs) for cell in cells]
     results: list[Optional[SimResult]] = [None] * len(cells)
     for indices in _workload_groups(cells, range(len(cells))):
         group = [cells[i] for i in indices]
         workload = group[0].resolve_workload()
         configs = [build_config(cell, workload) for cell in group]
+        contexts = None if obs is None else [
+            {"spec": asdict(cell.spec), **(cell.context or {})} for cell in group]
         start = perf_counter()
         with trace_span("cell", category="grid", workload=group[0].workload,
                         policy=",".join(_policy_of(cell) for cell in group)):
-            landed = simulate_policies(workload, configs)
+            landed = simulate_policies(workload, configs, obs=obs, contexts=contexts)
         _account_cells(landed, perf_counter() - start)
         for i, result in zip(indices, landed):
             results[i] = result
@@ -704,12 +691,8 @@ def execute_mix_cell(cell: MixCell, *,
     start = perf_counter()
     with trace_span("mix-cell", category="grid",
                     mix=cell.mix_id, policy=_policy_of(cell), cores=len(workloads)):
-        if obs is not None:
-            with obs.scoped(spec=asdict(cell.spec)):
-                result = simulate_mix(workloads, config, obs=obs,
-                                      mix_id=cell.mix_id)
-        else:
-            result = simulate_mix(workloads, config, mix_id=cell.mix_id)
+        with obs.scoped(spec=asdict(cell.spec)) if obs is not None else nullcontext():
+            result = simulate_mix(workloads, config, obs=obs, mix_id=cell.mix_id)
     _account_cells([result], perf_counter() - start)
     return result
 

@@ -7,7 +7,7 @@ paper's shorter warm-up/simulation for the Qualcomm traces (Section IV-A1).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
@@ -15,7 +15,8 @@ from repro.core.dripper import make_dripper, make_dripper_sf
 from repro.core.filter import single_feature_filter
 from repro.core.policies import DiscardPgc, DiscardPtw, PageCrossPolicy, PermitPgc
 from repro.core.ppf import make_ppf, make_ppf_dthr
-from repro.cpu.simulator import SimConfig, SimResult, simulate
+from repro.cpu.simulator import SimConfig, SimResult
+from repro.cpu.simulator import simulate  # noqa: F401 - perfbench's tracer patches it here
 from repro.workloads.synthetic import SyntheticWorkload
 from repro.workloads.trace import trace_window
 
@@ -123,22 +124,6 @@ class RunSpec:
         config.warmup_instructions, config.sim_instructions = trace_window(
             workload, config.warmup_instructions, config.sim_instructions)
         return config
-
-
-def run_one(
-    workload: SyntheticWorkload, spec: RunSpec, *, obs: Optional["Observability"] = None
-) -> SimResult:
-    """Simulate one workload under one spec.
-
-    With an observability bundle, the originating :class:`RunSpec` is
-    attached to the journal record's ``context`` so sweep cells stay
-    traceable to the grid coordinates that produced them; the key is scoped
-    to this run and cannot leak into later runs on the same bundle.
-    """
-    if obs is not None:
-        with obs.scoped(spec=asdict(spec)):
-            return simulate(workload, spec.config_for(workload), obs=obs)
-    return simulate(workload, spec.config_for(workload), obs=obs)
 
 
 def run_many(

@@ -51,6 +51,7 @@ from repro.obs.timeline import TIMELINE_FIELDS, TimelineRecorder
 from repro.obs.tracing import Tracer, current_tracer, install_tracer, trace_span
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.policies import PageCrossPolicy
     from repro.cpu.core import CoreEngine
     from repro.cpu.simulator import SimConfig, SimResult
 
@@ -130,15 +131,20 @@ class Observability:
         config: "SimConfig",
         result: "SimResult",
         wall_seconds: float,
+        *,
+        policy: Optional["PageCrossPolicy"] = None,
     ) -> None:
-        """Capture end-of-run state and journal the run (post-run)."""
+        """Capture end-of-run state and journal the run (post-run).
+
+        ``policy`` is the run's own policy when a lockstep engine served it.
+        """
         self.runs += 1
         self.last_wall_seconds = wall_seconds
         self.last_engine = engine if self.keep_engine else None
-        if isinstance(engine.policy, PerceptronFilter):
-            self.last_filter_state = filter_state(engine.policy)
-        else:
-            self.last_filter_state = None
+        if policy is None:
+            policy = engine.policy
+        self.last_filter_state = (
+            filter_state(policy) if isinstance(policy, PerceptronFilter) else None)
         if self.journal is not None:
             self.journal.record(
                 workload=workload,

@@ -6,7 +6,8 @@ sTLB-MPKI spikes) live at epoch granularity.  A :class:`TimelineRecorder`
 hooks the engine's epoch boundary (``CoreEngine.epoch_listener``) and
 samples one row per epoch: progress counters, MPKI deltas, page-cross
 activity, and — when the policy is a perceptron filter — the adaptive
-threshold and permit rate via :mod:`repro.core.introspect`.
+threshold and permit rate via :mod:`repro.core.introspect`.  Policies in
+lockstep (DESIGN.md §17) share one run, whose columns are its leader's.
 
 Rows are plain dicts in :data:`TIMELINE_FIELDS` order, exportable as JSONL
 (one object per line) or CSV.
@@ -19,6 +20,7 @@ import json
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
+from repro.core.ensemble import PolicyEnsemble
 from repro.core.filter import PerceptronFilter
 from repro.core.introspect import quick_state
 
@@ -31,6 +33,7 @@ TIMELINE_FIELDS = (
     "run",
     "workload",
     "epoch",
+    "policy",
     "measuring",
     "instructions",
     "total_instructions",
@@ -90,6 +93,8 @@ class TimelineRecorder:
         self._pgc_base = (issued, discarded)
 
         policy = engine.policy
+        if isinstance(policy, PolicyEnsemble):  # a lockstep drive: its leader's columns
+            policy = policy.members[0]
         filter_row: dict[str, Any] = {
             "threshold": None,
             "permit_rate": None,
@@ -120,6 +125,7 @@ class TimelineRecorder:
             "run": self._run,
             "workload": self._workload,
             "epoch": self._epoch,
+            "policy": policy.name,
             "measuring": engine.measuring,
             "instructions": epoch.instructions,
             "total_instructions": engine.instructions,

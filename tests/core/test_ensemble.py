@@ -215,17 +215,24 @@ class TestSimulatePolicies:
             simulate_policies(workload, configs)
             assert DRIVES.total() - before == drives
 
-    def test_sampled_and_validated_configs_run_alone(self):
+    def test_validated_configs_share_and_sampled_run_alone(self):
         from dataclasses import replace
 
         from repro.experiments.sampling import SamplingConfig
 
-        workload = by_name("hmmer")
-        plain, other = _configs(workload, ("discard", "permit"), packed=True)
-        configs = [replace(plain, validate=True), replace(other, validate=True)]
+        # the invariant checker only reads engine state, so validated
+        # configs ride one lockstep drive like any others (Berti proposes
+        # no page-cross candidate on omnetpp, so the two never diverge)
+        omnetpp = by_name("omnetpp")
+        configs = [replace(config, validate=True)
+                   for config in _configs(omnetpp, ("discard", "permit"), packed=True)]
         before = _counts()
-        simulate_policies(workload, configs)
-        assert _delta(before) == {"led": 2, "shared": 0, "diverged": 0}
+        results = simulate_policies(omnetpp, configs)
+        assert _delta(before) == {"led": 1, "shared": 1, "diverged": 0}
+        for config, result in zip(configs, results):
+            assert asdict(result) == asdict(simulate(omnetpp, config))
+        workload = by_name("hmmer")
+        plain, = _configs(workload, ("discard",), packed=True)
         sampled = replace(plain, sampling=SamplingConfig(intervals=4, phases=2, resamples=50))
         before = _counts()
         simulate_policies(workload, [sampled, replace(sampled)])

@@ -100,12 +100,12 @@ class TestLargePages:
 class TestSimulatedLargePages:
     @pytest.mark.slow
     def test_fig16_variant_runs_end_to_end(self):
-        from repro.experiments.runner import RunSpec, run_one
+        from repro.experiments.runner import RunSpec, run_many
         from repro.workloads import by_name
 
         spec = RunSpec(
             policy="dripper", warmup_instructions=4_000, sim_instructions=12_000,
             large_page_fraction=0.5, filter_at_native_boundary=True,
         )
-        result = run_one(by_name("libquantum"), spec)
+        result = run_many([by_name("libquantum")], spec)[0]
         assert result.instructions > 0

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 from repro.experiments.cache import CACHE_SCHEMA, ResultCache, canonical_json, fingerprint
 from repro.experiments.parallel import cell_for, cell_fingerprint
-from repro.experiments.runner import RunSpec, run_one
+from repro.experiments.runner import RunSpec, run_many
 from repro.experiments.sweep import dram_latency_transform, stlb_size_transform
 from repro.params import DEFAULT_PARAMS
 from repro.workloads import by_name
@@ -70,7 +70,7 @@ class TestResultCache:
         cache = ResultCache(tmp_path)
         key = "ab" + "0" * 62
         assert cache.get(key) is None
-        result = run_one(by_name("astar"), FAST)
+        result = run_many([by_name("astar")], FAST)[0]
         cache.put(key, result)
         loaded = cache.get(key)
         assert loaded == result  # dataclass equality: every field, floats exact
@@ -78,7 +78,7 @@ class TestResultCache:
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
-        result = run_one(by_name("astar"), FAST)
+        result = run_many([by_name("astar")], FAST)[0]
         key = "cd" + "0" * 62
         cache.put(key, result)
         cache._path(key).write_text("not json{")
@@ -86,7 +86,7 @@ class TestResultCache:
 
     def test_schema_mismatch_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
-        result = run_one(by_name("astar"), FAST)
+        result = run_many([by_name("astar")], FAST)[0]
         key = "ef" + "0" * 62
         cache.put(key, result)
         path = cache._path(key)
@@ -98,7 +98,7 @@ class TestResultCache:
     def test_unknown_result_field_is_a_miss(self, tmp_path):
         # entries written by a future SimResult layout must not crash
         cache = ResultCache(tmp_path)
-        result = run_one(by_name("astar"), FAST)
+        result = run_many([by_name("astar")], FAST)[0]
         key = "01" + "0" * 62
         cache.put(key, result)
         path = cache._path(key)

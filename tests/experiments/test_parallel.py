@@ -224,9 +224,7 @@ class TestMergedJournal:
         obs = Observability(journal=RunJournal(journal))
         sweep_epoch_length(_workloads(("hmmer",)), (512,), base_spec=FAST, obs=obs)
         assert obs.context == {}
-        from repro.experiments.runner import run_one
-
-        run_one(by_name("astar"), FAST, obs=obs)
+        run_many([by_name("astar")], FAST, obs=obs)
         assert obs.context == {}
         obs.close()
         last = read_journal(journal)[-1]
@@ -304,12 +302,13 @@ class TestSharedMemoryGrid:
         assert _children() == []
 
     def test_session_reuses_store_across_batches(self):
-        cells = [cell_for(by_name("astar"), FAST, policy=p)
-                 for p in ("discard", "permit")]
+        cells = [cell_for(by_name(w), FAST, policy=p)
+                 for w in ("astar", "hmmer") for p in ("discard", "permit")]
         serial = run_cells(cells, jobs=1)
         with grid_session(2) as session:
             first = run_cells(cells, jobs=2)
-            pool = session.pool()
+            pool = session._pool
+            assert pool is not None  # the batch itself forked the pool
             second = run_cells(cells, jobs=2)
             assert session.pool() is pool  # forked once for both batches
         assert first == serial and second == serial
@@ -347,14 +346,16 @@ class TestSharedMemoryGrid:
     def test_persistent_session_journal_not_double_counted(self, tmp_path):
         journal = tmp_path / "runs.jsonl"
         obs = Observability(journal=RunJournal(journal))
-        cells = [cell_for(by_name("astar"), FAST, policy=p)
-                 for p in ("discard", "permit")]
+        cells = [cell_for(by_name(w), FAST, policy=p)
+                 for w in ("astar", "hmmer") for p in ("discard", "permit")]
         with grid_session(2):
             run_cells(cells, jobs=2, obs=obs)
             run_cells(cells, jobs=2, obs=obs)
         obs.close()
-        assert len(read_journal(journal)) == 4  # 2 batches x 2 cells, once each
-        assert obs.runs == 4
+        records = read_journal(journal)
+        assert len(records) == 8  # 2 batches x 4 cells, once each
+        assert obs.runs == 8
+        assert all(r["host"]["pid"] != os.getpid() for r in records)  # worker shards
 
 
 class TestNoProcessOutlivesGrid:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.filter import PerceptronFilter
 from repro.core.policies import DiscardPgc, DiscardPtw, PermitPgc
-from repro.experiments.runner import ISO_STORAGE_BYTES, RunSpec, policy_factory, run_one
+from repro.experiments.runner import ISO_STORAGE_BYTES, RunSpec, policy_factory, run_many
 from repro.workloads import by_name
 
 
@@ -73,5 +73,5 @@ class TestRunSpec:
 class TestRunOne:
     def test_runs_quickly_scaled(self):
         spec = RunSpec(warmup_instructions=1_000, sim_instructions=3_000)
-        result = run_one(by_name("hmmer"), spec)
+        result = run_many([by_name("hmmer")], spec)[0]
         assert result.instructions >= 3_000

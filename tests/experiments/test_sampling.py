@@ -5,7 +5,7 @@ import pytest
 
 from repro.cpu.simulator import SimConfig, simulate
 from repro.experiments.parallel import cell_fingerprint, cell_for
-from repro.experiments.runner import RunSpec, policy_factory, run_one
+from repro.experiments.runner import RunSpec, policy_factory, run_many
 from repro.experiments.sampling import (
     SIGNATURE_FEATURES,
     PhasePlan,
@@ -149,7 +149,7 @@ class TestSimulateSampled:
             simulate_sampled(by_name("mcf"), _config(sampling=None))
 
     def test_runspec_round_trip(self):
-        result = run_one(by_name("mcf"), _spec())
+        result = run_many([by_name("mcf")], _spec())[0]
         assert result.sampled_intervals == TOY.intervals
 
 

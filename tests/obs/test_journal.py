@@ -4,7 +4,7 @@ import json
 
 from repro.core.dripper import make_dripper
 from repro.cpu.simulator import SimConfig, simulate
-from repro.experiments.runner import RunSpec, run_many, run_one
+from repro.experiments.runner import RunSpec, run_many
 from repro.obs import Observability, RunJournal, read_journal
 from repro.obs.journal import build_run_record, describe_config, host_info
 from repro.workloads import by_name
@@ -76,11 +76,11 @@ class TestRecordSchema:
 
 
 class TestRunnerIntegration:
-    def test_run_one_attaches_spec_context(self, tmp_path):
+    def test_run_many_attaches_spec_context(self, tmp_path):
         path = tmp_path / "runs.jsonl"
         obs = Observability(journal=RunJournal(path))
         spec = RunSpec(policy="dripper", warmup_instructions=1_000, sim_instructions=3_000)
-        run_one(by_name("astar"), spec, obs=obs)
+        run_many([by_name("astar")], spec, obs=obs)
         obs.close()
         (rec,) = read_journal(path)
         assert rec["context"]["spec"]["policy"] == "dripper"

@@ -84,6 +84,31 @@ class TestRecording:
         first_of_run1 = next(r for r in rec.rows if r["run"] == 1)
         assert first_of_run1["epoch"] == 1
 
+    def test_lockstep_drive_reads_its_leader(self):
+        # Berti proposes no page-cross candidate on omnetpp, so DRIPPER and
+        # Discard share one drive: its rows carry the leader's policy and
+        # filter columns, and each member is finished with its own policy
+        from repro.core.policies import DiscardPgc
+        from repro.cpu.simulator import simulate_policies
+
+        configs = [SimConfig(prefetcher="berti", policy_factory=factory,
+                             warmup_instructions=_WARMUP, sim_instructions=_SIM,
+                             epoch_instructions=_EPOCH)
+                   for factory in (lambda: make_dripper("berti"), DiscardPgc)]
+        obs = Observability(timeline=TimelineRecorder())
+        simulate_policies(by_name("omnetpp"), configs, obs=obs)
+        rows = obs.timeline.rows
+        assert {r["run"] for r in rows} == {0}
+        assert {r["policy"] for r in rows} == {"dripper[berti]"}
+        assert all(r["threshold"] is not None for r in rows)
+        assert obs.runs == 2
+        assert obs.last_filter_state is None  # Discard, finished last
+
+        configs.reverse()
+        obs = Observability()
+        simulate_policies(by_name("omnetpp"), configs, obs=obs)
+        assert obs.last_filter_state is not None  # DRIPPER, though Discard led
+
 
 class TestExport:
     def test_jsonl_round_trip(self, tmp_path):

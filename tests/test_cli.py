@@ -145,6 +145,46 @@ class TestObservabilityFlags:
         assert any(line.startswith("1,hmmer") for line in lines[1:])
 
 
+class TestInstrumentsRideLockstep:
+    """Observing a compare drives what the plain compare drives (DESIGN.md §17)."""
+
+    # Berti proposes no page-cross candidate on omnetpp: one drive serves all
+    _ARGV = ["compare", "--workload", "omnetpp", "--policies", "discard", "permit",
+             "dripper", "--warmup", "2000", "--sim", "6000", "--json"]
+
+    def _compare(self, capsys, *flags):
+        from repro.cpu.simulator import DRIVES
+
+        before = DRIVES.total()
+        assert main([*self._ARGV, *flags]) == 0
+        runs = json.loads(capsys.readouterr().out)["runs"]
+        return DRIVES.total() - before, runs
+
+    def test_one_drive_and_identical_results_under_every_flag(self, tmp_path, capsys):
+        drives, plain = self._compare(capsys)
+        assert drives == 1
+        for flags in (["--journal", str(tmp_path / "runs.jsonl")], ["--profile"],
+                      ["--timeline-out", str(tmp_path / "t.csv")], ["--validate"]):
+            drives, runs = self._compare(capsys, *flags)
+            assert drives == 1, flags
+            assert runs == plain, flags
+        # a pool cuts one workload's policies into one-cell chunks so both
+        # workers have work (parallel.py's scheduling note); results match
+        _, runs = self._compare(capsys, "--jobs", "2")
+        assert runs == plain
+
+    def test_journal_has_one_record_per_policy(self, tmp_path, capsys):
+        journal = tmp_path / "runs.jsonl"
+        self._compare(capsys, "--journal", str(journal))
+        records = [json.loads(line) for line in journal.read_text().splitlines()]
+        assert [r["context"]["spec"]["policy"] for r in records] == [
+            "discard", "permit", "dripper"]
+        assert [r["result"]["policy"] for r in records] == [
+            "discard-pgc", "permit-pgc", "dripper[berti]"]
+        # each record carries an even share of the one drive's wall time
+        assert len({r["wall_seconds"] for r in records}) == 1
+
+
 class TestParallelAndCacheFlags:
     _FAST = ["--warmup", "1000", "--sim", "3000"]
 
