@@ -5,7 +5,7 @@ Result equality is asserted hard — the fast path's whole contract is that
 generator legs below ask for ``packed=False`` explicitly: ``RunSpec``
 defaults to the packed kernel.  Throughput is
 advisory: a single CI run is far too noisy to gate a merge on the measured
-ratio (see ``scripts/bench_hotloop.py`` for the careful methodology), so the
+ratio (see ``scripts/bench_pairs.py`` for the careful methodology), so the
 only hard floor here is a generous one that catches the fast path becoming
 *slower* than the generator it replaces.  Phase-sampled simulation is the
 one exception with a hard *accuracy* gate: its recorded ``BENCH_0008.json``

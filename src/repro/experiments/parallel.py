@@ -43,12 +43,12 @@ Pool cells run exactly the config the serial path builds; the parent packs
 nothing.  :func:`run_cells` and :func:`run_mix_cells` share this pool path
 (:func:`_run_on_pool`); each only plans its own chunks.
 
-Every parallel batch builds its own pool and shard directory unless it runs
-inside a :func:`grid_session`, which keeps one of each alive across several
-batches — ``fig19_multicore`` wraps its isolation and mix batches in one,
-and a caller running several sweeps can do the same, so the grid forks once
-instead of once per batch.  Closing the batch (or the session) joins every
-worker: no process the grid started outlives it.
+Every parallel batch builds its own pool unless it runs inside a
+:func:`grid_session`, which keeps one alive across several batches —
+``fig19_multicore`` wraps its isolation and mix batches in one, and a caller
+running several sweeps can do the same, so the grid forks once instead of
+once per batch.  Closing the batch (or the session) joins every worker: no
+process the grid started outlives it.
 
 Determinism: a simulation is a pure function of (workload identity + seed,
 config) — trace generation, large-page allocation, and every replacement
@@ -56,27 +56,27 @@ decision are seeded — so parallel results are identical to serial ones, and
 cache hits are identical to re-runs (floats survive JSON round-trips
 exactly).
 
-Journaling under ``jobs>1``: the parent's :class:`RunJournal` holds a shared
-file handle that is not fork-safe, so each worker chunk appends to its own
-JSONL shard (``shard-<pid>-<seq>.jsonl``, closed before the chunk returns)
-and the parent merges-and-consumes the shards into its journal once the
-batch drains — consuming is what keeps a persistent session's shard
-directory from double-counting earlier batches.  Per-cell grid coordinates
-travel *in the cell* (``Cell.context``), never by mutating a shared
-``Observability`` — which is also what keeps the serial path's records free
-of stale coordinates.  Timelines and profiling probes are in-process
+Telemetry under ``jobs>1`` comes home on one channel: the
+:class:`_ChunkReport` each chunk returns.  Next to its results it carries
+the chunk's metrics delta, its journal records (the worker journals into
+memory — the parent's :class:`RunJournal` file handle is not fork-safe), its
+``Observability.runs`` count and its drained trace spans.  A chunk that
+raises returns its exception in the report, so the parent merges what the
+chunk recorded before the failure (an ``invariant_violation`` record, its
+``cell`` span) and only then raises.  Records land in completion order; every
+record carries its own grid coordinates (``Cell.context``), never a shared
+``Observability``'s — which is also what keeps the serial path's records
+free of stale coordinates.  Timelines and profiling probes are in-process
 instruments: a batch that needs a pool rejects them.
 """
 
 from __future__ import annotations
 
 import os
-import shutil
-import tempfile
+import traceback
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, replace
-from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from time import perf_counter
@@ -85,7 +85,7 @@ from repro.cpu.simulator import SimConfig, SimResult, simulate_policies
 from repro.cpu.simulator import simulate  # noqa: F401 - perfbench's tracer patches it here
 from repro.experiments.cache import CACHE_SCHEMA, ResultCache, fingerprint
 from repro.experiments.runner import RunSpec, policy_factory
-from repro.obs.journal import describe_config, describe_workload
+from repro.obs.journal import RunJournal, describe_config, describe_workload
 from repro.obs.metrics import MetricsSnapshot, get_metrics, reset_metrics
 from repro.obs.progress import GridProgress, ProgressSink
 from repro.obs.tracing import Tracer, current_tracer, install_tracer, trace_span
@@ -282,14 +282,7 @@ def _account_cells(results: Sequence["SimResult | MixResult"], wall: float) -> N
 # ---------------------------------------------------------------------------
 # worker side (module-level so both fork and spawn start methods can pickle it)
 
-_WORKER_SHARD_DIR: Optional[str] = None
-_WORKER_SEQ = 0
-
-
-def _init_worker(shard_dir: Optional[str], trace: bool = False) -> None:
-    global _WORKER_SHARD_DIR, _WORKER_SEQ
-    _WORKER_SHARD_DIR = shard_dir
-    _WORKER_SEQ = 0
+def _init_worker(trace: bool = False) -> None:
     # a forked worker inherits the parent's pack-cache buffers but would
     # repack on first miss anyway (nothing keeps the inherited entries warm
     # across COW); drop them so worker RSS doesn't double
@@ -303,72 +296,99 @@ def _init_worker(shard_dir: Optional[str], trace: bool = False) -> None:
     install_tracer(Tracer(role="worker") if trace else None)
 
 
-def _chunk_obs() -> Optional["Observability"]:
-    """A fresh journal shard for one chunk (closed before the chunk returns).
+class _MemoryJournal(RunJournal):
+    """A chunk's journal: keeps each record for the chunk's report."""
 
-    Per-chunk (not per-process) shards let a persistent session merge *and
-    delete* shards after every batch: a long-lived per-process file would
-    still be held open by the worker when the parent consumed it.
-    """
-    global _WORKER_SEQ
-    if _WORKER_SHARD_DIR is None:
-        return None
-    from repro.obs import Observability, RunJournal
+    def __init__(self) -> None:
+        super().__init__(os.devnull)
+        self.records: list[dict[str, Any]] = []
 
-    _WORKER_SEQ += 1
-    shard = Path(_WORKER_SHARD_DIR) / f"shard-{os.getpid():08d}-{_WORKER_SEQ:06d}.jsonl"
-    return Observability(journal=RunJournal(shard))
+    def append_record(self, record: dict[str, Any]) -> None:
+        self.records.append(record)
+        self.records_written += 1
+
+
+class _WorkerTraceback(Exception):
+    """A worker chunk's formatted traceback, chained to the error it raised."""
+
+    def __str__(self) -> str:
+        return "\n" + self.args[0]
+
+
+@dataclass
+class _ChunkReport:
+    """Everything one worker chunk sends home (see the module docstring)."""
+
+    results: list[tuple[int, Any]]
+    metrics: MetricsSnapshot
+    records: list[dict[str, Any]]
+    runs: int
+    #: the worker tracer's drained events, pid and role (empty untraced)
+    spans: list[dict[str, Any]]
+    pid: int
+    role: str
+    #: the exception the chunk raised, re-raised by the parent after merging,
+    #: and the worker-side traceback it is chained to
+    error: Optional[Exception] = None
+    error_trace: str = ""
 
 
 def _run_chunk_worker(
     execute: Callable[..., list],
     items: Sequence[tuple[int, Any]],
     use_journal: bool,
-    trace_dir: Optional[str] = None,
-) -> tuple[list[tuple[int, Any]], MetricsSnapshot]:
+    trace: bool = False,
+) -> _ChunkReport:
     """Run one chunk of cells in this worker process through ``execute``.
 
     ``execute`` is :func:`execute_cells` or :func:`execute_mix_cells`.
-    Returns the chunk's results plus a metrics *delta* — everything this
-    worker's registry accumulated during the chunk, relative to a snapshot
-    taken at entry.  Deltas are commutative, so the parent can merge them in
-    completion order.  With ``trace_dir`` set, buffered spans are flushed to
-    a per-chunk shard there (the parent absorbs them after the batch).
+    The report's metrics are a *delta* — everything this worker's registry
+    accumulated during the chunk, relative to a snapshot taken at entry —
+    so the parent can merge reports in completion order.  The tracer is
+    drained even when the chunk raises, so a failed chunk's spans never
+    ride along with this worker's next chunk.
     """
-    if trace_dir is not None and current_tracer() is None:
+    if trace and current_tracer() is None:
         # tracing was enabled after this pool forked (persistent session)
         install_tracer(Tracer(role="worker"))
+    from repro.obs import Observability
+
     registry = get_metrics()
     mark = registry.snapshot()
-    obs = _chunk_obs() if use_journal else None
+    obs = Observability(journal=_MemoryJournal()) if use_journal else None
+    results: list[tuple[int, Any]] = []
+    error: Optional[Exception] = None
+    trace_text = ""
     try:
-        results = execute([cell for _, cell in items], obs=obs)
-        out = [(i, result) for (i, _), result in zip(items, results)]
+        landed = execute([cell for _, cell in items], obs=obs)
+        results = [(i, result) for (i, _), result in zip(items, landed)]
+    except Exception as exc:
+        error, trace_text = exc, traceback.format_exc()
     finally:
-        if obs is not None:
-            obs.close()
-    delta = registry.snapshot().delta(mark)
-    if trace_dir is not None:
         tracer = current_tracer()
-        if tracer is not None:
-            tracer.flush_shard(trace_dir)
-    return out, delta
+        spans = tracer.drain() if tracer is not None else []
+    return _ChunkReport(
+        results=results,
+        metrics=registry.snapshot().delta(mark),
+        records=obs.journal.records if obs is not None else [],
+        runs=obs.runs if obs is not None else 0,
+        spans=spans,
+        pid=os.getpid(),
+        role=tracer.role if tracer is not None else "worker",
+        error=error,
+        error_trace=trace_text,
+    )
 
 
 # ---------------------------------------------------------------------------
-# parent side: grid sessions (persistent pool + shard dir)
+# parent side: grid sessions (persistent pool)
 
 
 class _GridSession:
-    """One worker pool + shard dir, reusable across batches."""
+    """One worker pool, reusable across batches."""
 
     def __init__(self, jobs: int):
         self.jobs = jobs
-        self.shard_dir = tempfile.mkdtemp(prefix="repro-shards-")
-        # trace shards live in a subdirectory so the journal's shard merge
-        # (non-recursive glob over shard_dir) never sees them
-        self.trace_dir = os.path.join(self.shard_dir, "trace")
-        os.makedirs(self.trace_dir, exist_ok=True)
         self._pool: Optional[ProcessPoolExecutor] = None
 
     def pool(self) -> ProcessPoolExecutor:
@@ -377,16 +397,15 @@ class _GridSession:
             self._pool = ProcessPoolExecutor(
                 max_workers=self.jobs,
                 initializer=_init_worker,
-                initargs=(self.shard_dir, current_tracer() is not None),
+                initargs=(current_tracer() is not None,),
             )
         return self._pool
 
     def close(self) -> None:
-        """Shut the pool down (joining every worker), drop the shard dir."""
+        """Shut the pool down (joining every worker)."""
         if self._pool is not None:
             self._pool.shutdown()
             self._pool = None
-        shutil.rmtree(self.shard_dir, ignore_errors=True)
 
 
 _SESSION: Optional[_GridSession] = None
@@ -394,7 +413,7 @@ _SESSION: Optional[_GridSession] = None
 
 @contextmanager
 def grid_session(jobs: int = 1) -> Iterator[Optional[_GridSession]]:
-    """Reuse one pool and shard dir across every parallel batch inside.
+    """Reuse one pool across every parallel batch inside.
 
     A grid of several ``run_cells``/``run_mix_cells`` batches (Fig. 19's
     isolation and mix batches, several sweeps) forks its workers once, and
@@ -486,11 +505,12 @@ def _run_on_pool(
     """Run a batch's chunks on the grid session's worker pool.
 
     ``chunks`` dispatch costliest-first to :func:`_run_chunk_worker`, which
-    runs each through ``execute``.  ``finish(i, result)`` lands every
-    result as its chunk completes.  Worker metric deltas, journal shards and trace
-    shards are merged into the parent's registry, journal and tracer.
-    Without an enclosing :func:`grid_session` the batch builds (and closes)
-    its own session of ``workers`` processes.
+    runs each through ``execute``.  As each chunk lands, its report's metrics
+    delta, journal records, run count and spans are merged into the parent's
+    registry, journal, ``obs.runs`` and tracer; then its exception (if any)
+    is raised, or ``finish(i, result)`` lands each result.  Without an
+    enclosing :func:`grid_session` the batch builds (and closes) its own
+    session of ``workers`` processes.
     """
     if obs is not None and (obs.timeline is not None or obs.probe is not None):
         raise ValueError(
@@ -498,41 +518,44 @@ def _run_on_pool(
             "or pass an Observability bundle with just a journal"
         )
     journal = obs.journal if obs is not None else None
+    tracer = current_tracer()
     session = _SESSION
     ephemeral = session is None
     if ephemeral:
         session = _GridSession(workers)
     try:
         pool = session.pool()
-        trace_dir = session.trace_dir if current_tracer() is not None else None
         futures = {
             pool.submit(
                 _run_chunk_worker, execute, [(i, cells[i]) for i in piece],
-                journal is not None, trace_dir,
+                journal is not None, tracer is not None,
             ): piece
             for piece, _cost in sorted(chunks, key=lambda c: -c[1])  # costliest first
         }
         registry = get_metrics()
         for future in as_completed(futures):
             try:
-                landed, delta = future.result()
+                report = future.result()
             except BaseException as exc:
                 if prog is not None:
                     prog.cell_failed(futures[future], exc)
                 raise
             # deltas are commutative/associative, so completion order —
             # which varies run to run — cannot change the merged totals
-            registry.merge(delta)
-            for i, result in landed:
+            registry.merge(report.metrics)
+            if journal is not None:
+                for record in report.records:
+                    journal.append_record(record)
+                obs.runs += report.runs
+            if tracer is not None:
+                tracer.absorb(report.spans, pid=report.pid, role=report.role)
+            if report.error is not None:
+                if prog is not None:
+                    prog.cell_failed(futures[future], report.error)
+                raise report.error from _WorkerTraceback(report.error_trace)
+            for i, result in report.results:
                 finish(i, result)
-        if journal is not None:
-            from repro.obs.journal import merge_shards
-
-            obs.runs += merge_shards(journal, session.shard_dir, consume=True)
     finally:
-        tracer = current_tracer()
-        if tracer is not None:
-            tracer.absorb_shards(session.trace_dir)
         if ephemeral:
             session.close()
 

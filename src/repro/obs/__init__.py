@@ -34,7 +34,6 @@ from repro.obs.journal import (
     describe_config,
     describe_workload,
     host_info,
-    merge_shards,
     read_journal,
 )
 from repro.obs.metrics import (
@@ -167,7 +166,6 @@ __all__ = [
     "TIMELINE_FIELDS",
     "RunJournal",
     "read_journal",
-    "merge_shards",
     "build_run_record",
     "describe_config",
     "describe_workload",

@@ -139,7 +139,7 @@ class RunJournal:
         return rec
 
     def append_record(self, record: dict[str, Any]) -> None:
-        """Append an already-built record (e.g. merged from a worker shard)."""
+        """Append an already-built record (e.g. one a grid worker sent home)."""
         if self._fh is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self._fh = open(self.path, "a", encoding="utf-8")
@@ -169,29 +169,3 @@ def read_journal(path: str | Path) -> list[dict[str, Any]]:
             if line:
                 out.append(json.loads(line))
     return out
-
-
-def merge_shards(journal: RunJournal, shard_dir: str | Path, *,
-                 pattern: str = "*.jsonl", consume: bool = False) -> int:
-    """Merge per-worker shard files into a parent journal.
-
-    ``RunJournal``'s shared file handle is not fork-safe, so parallel grid
-    execution gives each worker process its own shard file and the parent
-    folds them back in afterwards.  Shards are merged in sorted-filename
-    order (record order *within* a shard is preserved; order *across*
-    workers reflects scheduling, not grid order — every record carries its
-    own ``context`` coordinates).  Returns the number of records merged.
-
-    With ``consume=True`` each shard file is deleted after its records are
-    folded in.  A persistent worker pool merges after every batch, so
-    leaving merged shards behind would double-count them on the next merge
-    from the same directory.
-    """
-    merged = 0
-    for shard in sorted(Path(shard_dir).glob(pattern)):
-        for rec in read_journal(shard):
-            journal.append_record(rec)
-            merged += 1
-        if consume:
-            shard.unlink()
-    return merged

@@ -8,11 +8,11 @@ loops touches the registry, so the telemetry contract of PR 1 holds — with
 every sink disabled the simulator runs the exact unobserved hot path, and the
 instrument updates that do happen are O(events), not O(records).
 
-Cross-process discipline mirrors :func:`repro.obs.journal.merge_shards`: a
-worker process takes a :meth:`~MetricsRegistry.snapshot` *mark* before a
-chunk, computes the :meth:`~MetricsSnapshot.delta` after it, and ships the
-delta back with the chunk's results; the parent folds every delta into its
-own registry with :meth:`~MetricsRegistry.merge`.  Merging is commutative
+Cross-process discipline: a worker process takes a
+:meth:`~MetricsRegistry.snapshot` *mark* before a chunk, computes the
+:meth:`~MetricsSnapshot.delta` after it, and ships the delta back with the
+chunk's results (and its journal records and spans); the parent folds every
+delta into its own registry with :meth:`~MetricsRegistry.merge`.  Merging is commutative
 and associative — counters and histograms add, gauges resolve by their
 update stamp (latest wins, ties by value) — so the scheduling order of
 worker chunks cannot change the merged totals.

@@ -9,15 +9,14 @@ every instrumentation site checks it at span granularity (per cell / per
 drive — never inside the per-record loops), so a run without a tracer
 executes the exact unobserved hot path.
 
-Cross-process discipline mirrors the run journal's shard merge: grid workers
-install a tracer whose span buffer is flushed to a per-process JSONL shard
-(``spans-<pid>-<seq>.jsonl``) after every chunk, and the parent absorbs the
-shards back into its own tracer once the batch drains
-(:meth:`Tracer.absorb_shards`, consuming, exactly like
-:func:`repro.obs.journal.merge_shards`).  The merged timeline is written by
-:meth:`Tracer.write_chrome_trace` as a Chrome trace-event JSON object —
-loadable in Perfetto / ``chrome://tracing`` — where each OS process of the
-grid appears as its own ``pid`` lane with a ``process_name`` metadata record.
+Cross-process discipline: grid workers install their own tracer, and after
+every chunk :meth:`Tracer.drain` hands its buffered spans back with the
+chunk's result (:mod:`repro.experiments.parallel`); the parent folds them
+into its own tracer with :meth:`Tracer.absorb`.  The merged timeline is
+written by :meth:`Tracer.write_chrome_trace` as a Chrome trace-event JSON
+object — loadable in Perfetto / ``chrome://tracing`` — where each OS process
+of the grid appears as its own ``pid`` lane with a ``process_name`` metadata
+record.
 
 Timestamps are wall-clock (``time.time_ns``-based) microseconds, so spans
 recorded in different processes land on one consistent axis; durations are
@@ -78,7 +77,7 @@ def trace_span(name: str, category: str = "sim", **args: Any) -> Iterator[None]:
 
 
 class Tracer:
-    """Buffers trace events in memory; flushes to shards or a Chrome JSON.
+    """Buffers trace events in memory; drains them or writes a Chrome JSON.
 
     ``role`` names this process's lane in the merged trace (e.g. ``parent``
     or ``worker``); the ``pid`` is always the real OS pid so worker identity
@@ -89,7 +88,6 @@ class Tracer:
         self.role = role
         self.pid = os.getpid()
         self._events: list[dict[str, Any]] = []
-        self._seq = 0
         #: pid -> role, for process_name metadata in the merged trace
         self._roles: dict[int, str] = {self.pid: role}
 
@@ -129,50 +127,17 @@ class Tracer:
     def __len__(self) -> int:
         return len(self._events)
 
-    # -- shard flush / absorb (the cross-process seam) ---------------------
+    # -- drain / absorb (the cross-process seam) ---------------------------
 
-    def flush_shard(self, shard_dir: str | Path) -> Optional[Path]:
-        """Write buffered events to a new shard file and clear the buffer.
+    def drain(self) -> list[dict[str, Any]]:
+        """Hand over the buffered events and clear the buffer."""
+        events, self._events = self._events, []
+        return events
 
-        Per-chunk shards (like the journal's) keep no file handle open
-        across chunks, so the parent can merge *and delete* them after
-        every batch.  Returns the shard path, or ``None`` when the buffer
-        was empty.
-        """
-        if not self._events:
-            return None
-        self._seq += 1
-        shard = Path(shard_dir) / f"spans-{self.pid:08d}-{self._seq:06d}.jsonl"
-        shard.parent.mkdir(parents=True, exist_ok=True)
-        with open(shard, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps({"role": self.role, "pid": self.pid}) + "\n")
-            for event in self._events:
-                fh.write(json.dumps(event) + "\n")
-        self._events.clear()
-        return shard
-
-    def absorb_shards(self, shard_dir: str | Path, *,
-                      pattern: str = "spans-*.jsonl", consume: bool = True) -> int:
-        """Fold per-worker span shards into this tracer's buffer.
-
-        Same discipline as :func:`repro.obs.journal.merge_shards`: sorted
-        filename order, ``consume=True`` deletes each shard after folding so
-        a persistent grid session never double-counts a batch.  Returns the
-        number of events absorbed.
-        """
-        absorbed = 0
-        for shard in sorted(Path(shard_dir).glob(pattern)):
-            with open(shard, encoding="utf-8") as fh:
-                header = json.loads(fh.readline())
-                self._roles.setdefault(header["pid"], header.get("role", "worker"))
-                for line in fh:
-                    line = line.strip()
-                    if line:
-                        self._events.append(json.loads(line))
-                        absorbed += 1
-            if consume:
-                shard.unlink()
-        return absorbed
+    def absorb(self, events: list[dict[str, Any]], *, pid: int, role: str) -> None:
+        """Fold another process's drained events (and its lane name) into this tracer."""
+        self._roles.setdefault(pid, role)
+        self._events.extend(events)
 
     # -- export ------------------------------------------------------------
 

@@ -16,7 +16,6 @@ from repro.workloads.packed import (
     clear_pack_cache,
     get_packed,
     pack_cache_stats,
-    set_pack_cache_capacity,
 )
 from repro.workloads.synthetic import SyntheticWorkload
 from repro.workloads.trace import BRANCH, DEPENDS, LOAD, MISPREDICT, STORE, TAKEN, Record, Workload
@@ -45,7 +44,6 @@ __all__ = [
     "clear_pack_cache",
     "get_packed",
     "pack_cache_stats",
-    "set_pack_cache_capacity",
     "SyntheticWorkload",
     "BRANCH",
     "DEPENDS",

@@ -63,7 +63,7 @@ def _capacity_from_env() -> int:
 #: process-wide pack cache capacity (packs are ~22 bytes/record; the default
 #: 80k-instruction window is ~0.5 MB, so 32 entries stay well under 32 MB);
 #: a grid over more workloads than this silently thrashes, so it is
-#: configurable via the env var or :func:`set_pack_cache_capacity`
+#: configurable via the env var
 _CACHE_CAPACITY = _capacity_from_env()
 
 
@@ -393,23 +393,6 @@ def _update_bytes_gauge() -> None:
     _pack_metrics()[3].set(_CACHE_BYTES)
 
 
-def set_pack_cache_capacity(capacity: int) -> int:
-    """Resize the process-wide pack cache; returns the previous capacity.
-
-    Shrinking evicts immediately (oldest first, counted as evictions).
-    """
-    global _CACHE_CAPACITY
-    if capacity < 1:
-        raise ValueError(f"pack cache capacity must be >= 1, got {capacity}")
-    previous = _CACHE_CAPACITY
-    _CACHE_CAPACITY = capacity
-    if len(_PACK_CACHE) > _CACHE_CAPACITY:
-        while len(_PACK_CACHE) > _CACHE_CAPACITY:
-            _evict_oldest()
-        _update_bytes_gauge()
-    return previous
-
-
 def pack_cache_stats() -> dict[str, int]:
     """Hit/miss/eviction counters plus current size/capacity (a copy).
 
@@ -469,17 +452,14 @@ def _make_anon_reaper(key: tuple) -> Callable[[object], None]:
     return _reap
 
 
-def get_packed(workload: Workload, warmup: int, sim: int, *,
-               capacity: Optional[int] = None) -> PackedTrace:
+def get_packed(workload: Workload, warmup: int, sim: int) -> PackedTrace:
     """Return a (cached) :class:`PackedTrace` covering the given window.
 
-    The cache is process-wide and LRU-bounded (``capacity`` overrides the
-    bound for this call and onwards).  Each grid worker process builds its
-    own packs (the arrays are picklable, but shipping them per cell would
-    cost more than packing once per worker).
+    The cache is process-wide and LRU-bounded (``REPRO_PACK_CACHE_CAPACITY``
+    entries).  Each grid worker process builds its own packs (the arrays are
+    picklable, but shipping them per cell would cost more than packing once
+    per worker).
     """
-    if capacity is not None:
-        set_pack_cache_capacity(capacity)
     metrics = _pack_metrics()
     key = _pack_key(workload, warmup, sim)
     packed = _PACK_CACHE.get(key)

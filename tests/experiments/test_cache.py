@@ -5,7 +5,7 @@ from dataclasses import replace
 
 from repro.experiments.cache import CACHE_SCHEMA, ResultCache, canonical_json, fingerprint
 from repro.experiments.parallel import cell_for, cell_fingerprint
-from repro.experiments.runner import RunSpec, run_many
+from repro.experiments.runner import RunSpec, run_many, run_policies
 from repro.experiments.sweep import dram_latency_transform, stlb_size_transform
 from repro.params import DEFAULT_PARAMS
 from repro.workloads import by_name
@@ -75,6 +75,16 @@ class TestResultCache:
         loaded = cache.get(key)
         assert loaded == result  # dataclass equality: every field, floats exact
         assert cache.stats == {"hits": 1, "misses": 1, "stores": 1}
+
+    def test_warm_pool_rerun_is_all_hits_and_matches_serial(self, tmp_path):
+        workloads = [by_name("astar"), by_name("hmmer")]
+        policies = ["discard", "permit"]
+        serial = run_policies(workloads, policies, base_spec=FAST)
+        run_policies(workloads, policies, base_spec=FAST, jobs=2, cache=ResultCache(tmp_path))
+        warm = ResultCache(tmp_path)
+        cached = run_policies(workloads, policies, base_spec=FAST, jobs=2, cache=warm)
+        assert cached == serial
+        assert warm.stats == {"hits": 4, "misses": 0, "stores": 0}
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)

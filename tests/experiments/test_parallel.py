@@ -214,8 +214,31 @@ class TestMergedJournal:
         assert obs.runs == 4
         coords = {(r["workload"]["name"], r["context"]["spec"]["policy"]) for r in records}
         assert coords == {(w, p) for w in ("astar", "hmmer") for p in ("discard", "permit")}
-        # full config + params survived the shard round-trip
+        # full config + params survived the trip home from the workers
         assert all("stlb" in r["config"]["params"] for r in records)
+
+    def test_pooled_batch_makes_no_temp_directory(self, tmp_path, monkeypatch):
+        import tempfile
+
+        from repro.obs.tracing import Tracer, install_tracer
+
+        made = []
+
+        def mkdtemp(*args, **kwargs):
+            made.append((args, kwargs))
+            return str(tmp_path)
+
+        monkeypatch.setattr(tempfile, "mkdtemp", mkdtemp)
+        obs = Observability(journal=RunJournal(tmp_path / "runs.jsonl"))
+        previous = install_tracer(Tracer(role="parent"))
+        try:
+            run_cells([cell_for(w, FAST) for w in _workloads(("astar", "hmmer"))],
+                      jobs=2, obs=obs)
+        finally:
+            install_tracer(previous)
+        obs.close()
+        assert obs.runs == 2
+        assert made == []
 
     def test_scoped_context_does_not_leak(self, tmp_path):
         # regression: a sweep used to leave context['sweep'] on the bundle,
@@ -355,7 +378,7 @@ class TestSharedMemoryGrid:
         records = read_journal(journal)
         assert len(records) == 8  # 2 batches x 4 cells, once each
         assert obs.runs == 8
-        assert all(r["host"]["pid"] != os.getpid() for r in records)  # worker shards
+        assert all(r["host"]["pid"] != os.getpid() for r in records)  # worker records
 
 
 class TestNoProcessOutlivesGrid:
@@ -377,6 +400,60 @@ class TestNoProcessOutlivesGrid:
                            for p in ("discard", "permit")], jobs=2)
             assert _children() != []  # the session's workers are alive
         assert _children() == []
+
+
+class TestFailedChunkTelemetry:
+    """A chunk that raises still sends home what it recorded, and only that."""
+
+    VALIDATED = RunSpec(warmup_instructions=1_000, sim_instructions=3_000, validate=True)
+
+    def _failing_batch(self, obs=None):
+        from repro.validate import InvariantViolation, reintroduce_stale_mshr_bug
+
+        with reintroduce_stale_mshr_bug(), pytest.raises(InvariantViolation):
+            run_policies(_workloads(("astar", "hmmer")), ["discard", "permit"],
+                         base_spec=self.VALIDATED, jobs=2, obs=obs)
+
+    def test_violation_reaches_the_parent_journal(self, tmp_path):
+        journal = tmp_path / "runs.jsonl"
+        obs = Observability(journal=RunJournal(journal))
+        self._failing_batch(obs)
+        obs.close()
+        kinds = [r.get("kind") for r in read_journal(journal)]
+        assert "invariant_violation" in kinds
+
+    def test_failed_batch_leaves_nothing_for_the_next(self, tmp_path):
+        journal = tmp_path / "runs.jsonl"
+        obs = Observability(journal=RunJournal(journal))
+        cells = [cell_for(by_name(w), FAST, policy=p)
+                 for w in ("astar", "hmmer") for p in ("discard", "permit")]
+        with grid_session(2):
+            self._failing_batch(obs)
+            written, runs = obs.journal.records_written, obs.runs
+            run_cells(cells, jobs=2, obs=obs)
+        obs.close()
+        assert obs.journal.records_written - written == 4
+        assert obs.runs - runs == 4
+        assert all("kind" not in r for r in read_journal(journal)[written:])
+
+    def test_failing_chunk_span_and_metrics_reach_the_parent(self):
+        from repro.obs.metrics import get_metrics
+        from repro.obs.tracing import Tracer, install_tracer
+
+        drives = get_metrics().counter("sim.drives")
+        before = drives.total()
+        tracer = Tracer(role="parent")
+        previous = install_tracer(tracer)
+        try:
+            self._failing_batch()
+        finally:
+            install_tracer(previous)
+        assert drives.total() > before
+        events = tracer.chrome_events()
+        cells = [e for e in events if e["ph"] == "X" and e["name"] == "cell"]
+        assert cells and all(e["pid"] != os.getpid() for e in cells)
+        lanes = {e["pid"]: e["args"]["name"] for e in events if e["ph"] == "M"}
+        assert all(lanes[e["pid"]].startswith("repro-worker-") for e in cells)
 
 
 class TestRunPoliciesPrefetcherFix:

@@ -111,94 +111,61 @@ class TestRunnerIntegration:
         assert all(r["context"]["sweep"]["value"] == 768 for r in records)
 
 
-class TestShardMerge:
-    def test_append_record_and_merge(self, tmp_path):
-        from repro.obs import merge_shards
+class TestChunkJournal:
+    """Grid worker chunks journal into memory and send the records home."""
 
-        shard_dir = tmp_path / "shards"
-        shard_dir.mkdir()
-        for shard, names in (("shard-b.jsonl", ["w2", "w3"]), ("shard-a.jsonl", ["w1"])):
-            with RunJournal(shard_dir / shard) as j:
-                for name in names:
-                    j.append_record({"schema": 1, "workload": {"name": name}})
+    CELLS = [("astar", "discard"), ("hmmer", "permit")]
+
+    def _run_chunk(self, cells, use_journal=True, validate=False):
+        from repro.experiments.parallel import _run_chunk_worker, cell_for, execute_cells
+
+        items = [(i, cell_for(by_name(w), RunSpec(**_FAST, policy=p, validate=validate)))
+                 for i, (w, p) in enumerate(cells)]
+        return _run_chunk_worker(execute_cells, items, use_journal)
+
+    def test_chunk_records_ride_the_report(self, tmp_path):
+        report = self._run_chunk(self.CELLS)
+        assert report.error is None
+        assert report.runs == 2
+        assert [(r["workload"]["name"], r["context"]["spec"]["policy"])
+                for r in report.records] == self.CELLS
         parent = RunJournal(tmp_path / "runs.jsonl")
-        merged = merge_shards(parent, shard_dir)
+        for record in report.records:
+            parent.append_record(record)
         parent.close()
-        assert merged == 3
-        assert parent.records_written == 3
-        names = [r["workload"]["name"] for r in read_journal(tmp_path / "runs.jsonl")]
-        assert names == ["w1", "w2", "w3"]  # sorted shard order, in-shard order kept
+        assert read_journal(tmp_path / "runs.jsonl") == report.records
 
-    def test_merge_ignores_non_matching_files(self, tmp_path):
-        from repro.obs import merge_shards
+    def test_memory_journal_writes_no_file(self, tmp_path, monkeypatch):
+        from repro.experiments.parallel import _MemoryJournal
 
-        (tmp_path / "notes.txt").write_text("not a shard")
-        parent = RunJournal(tmp_path / "runs.jsonl")
-        assert merge_shards(parent, tmp_path) == 0
+        monkeypatch.chdir(tmp_path)
+        journal = _MemoryJournal()
+        journal.append_record({"schema": 1, "workload": {"name": "w1"}})
+        journal.close()
+        assert journal.records == [{"schema": 1, "workload": {"name": "w1"}}]
+        assert journal.records_written == 1
+        assert list(tmp_path.iterdir()) == []
 
-    def test_merge_tolerates_empty_shards(self, tmp_path):
-        # a worker whose chunk raised before its first record leaves a
-        # zero-byte (or blank-line-only) shard behind
-        from repro.obs import merge_shards
+    def test_unjournaled_chunk_reports_no_records(self):
+        report = self._run_chunk(self.CELLS, use_journal=False)
+        assert (report.records, report.runs) == ([], 0)
+        assert [i for i, _ in report.results] == [0, 1]
 
-        (tmp_path / "shard-a.jsonl").write_text("")
-        (tmp_path / "shard-b.jsonl").write_text("\n\n")
-        with RunJournal(tmp_path / "shard-c.jsonl") as j:
-            j.append_record({"schema": 1, "workload": {"name": "w1"}})
-        parent = RunJournal(tmp_path / "runs.jsonl")
-        merged = merge_shards(parent, tmp_path, pattern="shard-*.jsonl", consume=True)
-        parent.close()
-        assert merged == 1
-        assert list(tmp_path.glob("shard-*.jsonl")) == []  # empties consumed too
+    def test_failed_chunk_returns_its_records_and_error(self):
+        from repro.validate import InvariantViolation, reintroduce_stale_mshr_bug
 
-    def test_merge_partial_shard_keeps_complete_records(self, tmp_path):
-        # blank lines interspersed with records (flush boundaries) are skipped
-        from repro.obs import merge_shards
+        with reintroduce_stale_mshr_bug():
+            report = self._run_chunk(self.CELLS[:1], validate=True)
+        assert isinstance(report.error, InvariantViolation)
+        assert "InvariantViolation" in report.error_trace
+        assert report.results == [] and report.runs == 0
+        assert [r["kind"] for r in report.records] == ["invariant_violation"]
 
-        lines = ['{"schema": 1, "workload": {"name": "w1"}}', "",
-                 '{"schema": 1, "workload": {"name": "w2"}}', ""]
-        (tmp_path / "shard-a.jsonl").write_text("\n".join(lines))
-        parent = RunJournal(tmp_path / "runs.jsonl")
-        assert merge_shards(parent, tmp_path, pattern="shard-*.jsonl") == 2
-        parent.close()
-        names = [r["workload"]["name"] for r in read_journal(tmp_path / "runs.jsonl")]
-        assert names == ["w1", "w2"]
-
-    def test_merge_interleaved_worker_shards(self, tmp_path):
-        # two workers flushing per-chunk shards whose sequence numbers
-        # interleave: merge order is sorted-filename, in-shard order kept
-        from repro.obs import merge_shards
-
-        shards = {
-            "shard-00000001-000001.jsonl": ["a1", "a2"],
-            "shard-00000002-000001.jsonl": ["b1"],
-            "shard-00000001-000002.jsonl": ["a3"],
-            "shard-00000002-000002.jsonl": ["b2", "b3"],
-        }
-        for name, records in shards.items():
-            with RunJournal(tmp_path / name) as j:
-                for rec in records:
-                    j.append_record({"schema": 1, "workload": {"name": rec}})
-        parent = RunJournal(tmp_path / "runs.jsonl")
-        merged = merge_shards(parent, tmp_path, pattern="shard-*.jsonl", consume=True)
-        parent.close()
-        assert merged == 6
-        names = [r["workload"]["name"] for r in read_journal(tmp_path / "runs.jsonl")]
-        assert names == ["a1", "a2", "a3", "b1", "b2", "b3"]
-        assert list(tmp_path.glob("shard-*.jsonl")) == []
-
-    def test_merge_twice_without_consume_double_counts(self, tmp_path):
-        # documents why persistent sessions must consume: shards left behind
-        # are folded in again on the next merge from the same directory
-        from repro.obs import merge_shards
-
-        with RunJournal(tmp_path / "shard-a.jsonl") as j:
-            j.append_record({"schema": 1, "workload": {"name": "w"}})
-        parent = RunJournal(tmp_path / "runs.jsonl")
-        assert merge_shards(parent, tmp_path, pattern="shard-*.jsonl") == 1
-        assert merge_shards(parent, tmp_path, pattern="shard-*.jsonl") == 1
-        parent.close()
-        assert len(read_journal(tmp_path / "runs.jsonl")) == 2
+    def test_each_chunk_reports_only_its_own_records(self):
+        first = self._run_chunk(self.CELLS[:1])
+        second = self._run_chunk(self.CELLS[1:])
+        assert [r["workload"]["name"] for r in first.records] == ["astar"]
+        assert [r["workload"]["name"] for r in second.records] == ["hmmer"]
 
 
 class TestObservabilityBundle:

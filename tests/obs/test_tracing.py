@@ -1,4 +1,4 @@
-"""Span tracing: recording, shard flush/absorb, Chrome trace export."""
+"""Span tracing: recording, drain/absorb across processes, Chrome trace export."""
 
 import json
 
@@ -40,56 +40,40 @@ class TestTracerSlot:
         assert event["dur"] >= 1
 
 
-class TestShardRoundTrip:
-    def test_flush_empty_buffer_writes_nothing(self, tmp_path):
-        t = Tracer()
-        assert t.flush_shard(tmp_path) is None
-        assert list(tmp_path.iterdir()) == []
+class TestDrainAbsorb:
+    def test_drain_empty_buffer_returns_nothing(self):
+        assert Tracer().drain() == []
 
-    def test_flush_and_absorb_preserves_events_and_roles(self, tmp_path):
+    def test_drain_and_absorb_preserves_events_and_roles(self):
         worker = Tracer(role="worker")
-        # simulate a genuinely distinct worker process (same-pid tests would
-        # collapse both lanes onto one process_name entry)
+        # a genuinely distinct worker process (same-pid tests would collapse
+        # both lanes onto one process_name entry)
         worker.pid = 99_999
-        worker._roles = {worker.pid: "worker"}
         with worker.span("drive", workload="astar"):
             pass
         with worker.span("collect", workload="astar"):
             pass
-        shard = worker.flush_shard(tmp_path)
-        assert shard is not None and shard.name.startswith("spans-")
+        events = worker.drain()
         assert len(worker) == 0  # buffer cleared
 
         parent = Tracer(role="parent")
-        absorbed = parent.absorb_shards(tmp_path)
-        assert absorbed == 2
-        assert list(tmp_path.glob("spans-*.jsonl")) == []  # consumed
+        parent.absorb(events, pid=worker.pid, role=worker.role)
         names = [e["name"] for e in parent.chrome_events() if e["ph"] == "X"]
         assert names == ["drive", "collect"]
-        # worker's pid appears as its own named process lane
-        metadata = [e for e in parent.chrome_events() if e["ph"] == "M"]
-        lanes = {e["args"]["name"] for e in metadata}
-        assert any(name.startswith("repro-worker-") for name in lanes)
-        assert any(name.startswith("repro-parent-") for name in lanes)
+        # the worker's pid appears as its own named process lane
+        lanes = {e["pid"]: e["args"]["name"]
+                 for e in parent.chrome_events() if e["ph"] == "M"}
+        assert lanes[99_999] == "repro-worker-99999"
+        assert lanes[parent.pid].startswith("repro-parent-")
 
-    def test_absorb_without_consume_keeps_shards(self, tmp_path):
+    def test_each_drain_hands_over_only_new_events(self):
         t = Tracer()
-        with t.span("x"):
-            pass
-        t.flush_shard(tmp_path)
-        parent = Tracer()
-        assert parent.absorb_shards(tmp_path, consume=False) == 1
-        assert len(list(tmp_path.glob("spans-*.jsonl"))) == 1
-
-    def test_multiple_chunks_produce_sequenced_shards(self, tmp_path):
-        t = Tracer()
-        for _ in range(3):
-            with t.span("chunk"):
+        drained = []
+        for chunk in range(3):
+            with t.span("chunk", index=chunk):
                 pass
-            t.flush_shard(tmp_path)
-        shards = sorted(p.name for p in tmp_path.glob("spans-*.jsonl"))
-        assert len(shards) == 3
-        assert shards == sorted(shards)
+            drained.append(t.drain())
+        assert [[e["args"]["index"] for e in events] for events in drained] == [[0], [1], [2]]
 
 
 class TestChromeExport:

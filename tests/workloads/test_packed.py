@@ -16,7 +16,6 @@ from repro.workloads.packed import (
     clear_pack_cache,
     get_packed,
     pack_cache_stats,
-    set_pack_cache_capacity,
 )
 from repro.workloads import packed as packed_module
 from repro.workloads.trace_io import FileWorkload, snapshot_workload
@@ -154,7 +153,7 @@ class TestBytesGauge:
     def _resident_bytes(self):
         return sum(p.nbytes() for p in packed_module._PACK_CACHE.values())
 
-    def test_gauge_tracks_insert_evict_resize_clear(self, bounded_cache):
+    def test_gauge_tracks_insert_evict_resize_clear(self, bounded_cache, monkeypatch):
         w = by_name("astar")
         get_packed(w, 1_000, 2_000)
         assert self._gauge_value() == self._resident_bytes() > 0
@@ -162,7 +161,9 @@ class TestBytesGauge:
         assert self._gauge_value() == self._resident_bytes()
         get_packed(w, 1_000, 4_000)  # capacity 2: evicts the oldest
         assert self._gauge_value() == self._resident_bytes()
-        set_pack_cache_capacity(1)  # shrink evicts immediately
+        monkeypatch.setattr(packed_module, "_CACHE_CAPACITY", 1)
+        get_packed(w, 1_000, 5_000)  # the next insert evicts down to the new bound
+        assert pack_cache_stats()["size"] == 1
         assert self._gauge_value() == self._resident_bytes()
         clear_pack_cache()
         assert self._gauge_value() == 0
@@ -191,12 +192,11 @@ class TestPackCache:
 
 
 @pytest.fixture
-def bounded_cache():
-    """Shrinkable cache capacity, restored (with a clean cache) afterwards."""
-    previous = set_pack_cache_capacity(2)
+def bounded_cache(monkeypatch):
+    """A two-entry pack cache, restored (with a clean cache) afterwards."""
+    monkeypatch.setattr(packed_module, "_CACHE_CAPACITY", 2)
     clear_pack_cache()
     yield
-    set_pack_cache_capacity(previous)
     clear_pack_cache()
 
 
@@ -220,28 +220,6 @@ class TestPackCacheCapacity:
         assert get_packed(w, 1_000, 2_000) is first  # moves to MRU
         get_packed(w, 1_000, 4_000)  # evicts the 3_000 window instead
         assert get_packed(w, 1_000, 2_000) is first
-
-    def test_capacity_keyword_resizes(self, bounded_cache):
-        w = by_name("astar")
-        get_packed(w, 1_000, 2_000)
-        get_packed(w, 1_000, 3_000)
-        get_packed(w, 1_000, 4_000, capacity=1)
-        assert pack_cache_stats()["size"] == 1
-        assert pack_cache_stats()["capacity"] == 1
-
-    def test_shrinking_evicts_immediately(self, bounded_cache):
-        w = by_name("astar")
-        get_packed(w, 1_000, 2_000)
-        get_packed(w, 1_000, 3_000)
-        before = pack_cache_stats()["evictions"]
-        set_pack_cache_capacity(1)
-        stats = pack_cache_stats()
-        assert stats["size"] == 1
-        assert stats["evictions"] == before + 1
-
-    def test_invalid_capacity_rejected(self):
-        with pytest.raises(ValueError, match="capacity"):
-            set_pack_cache_capacity(0)
 
     def test_env_var_parsing(self, monkeypatch):
         monkeypatch.delenv("REPRO_PACK_CACHE_CAPACITY", raising=False)
