@@ -15,9 +15,8 @@ from dataclasses import replace as dc_replace
 
 from conftest import bench_scale
 
-from repro.cpu.simulator import simulate
-from repro.experiments import format_table, geomean_speedup, speedup_percent
-from repro.experiments.runner import RunSpec, policy_factory
+from repro.experiments import format_table, geomean_speedup, run_policies, speedup_percent
+from repro.experiments.runner import RunSpec
 from repro.params import DEFAULT_PARAMS
 from repro.workloads import seen_workloads, stratified_sample
 
@@ -34,28 +33,20 @@ def run_ablation(scale):
         sim_instructions=scale.sim_instructions,
     )
 
-    def run_config(policy: str, replacement: str):
-        results = []
-        for workload in workloads:
-            config = spec.config_for(workload)
-            config = dc_replace(
-                config,
-                params=_params_with_replacement(replacement),
-                policy_factory=policy_factory(policy, "berti"),
-            )
-            results.append(simulate(workload, config))
-        return results
-
-    base = run_config("discard", "lru")
-    out = {}
-    for label, policy, replacement in (
-        ("permit + lru", "permit", "lru"),
-        ("permit + pa-lru", "permit", "pa-lru"),
-        ("dripper + lru", "dripper", "lru"),
-        ("dripper + pa-lru", "dripper", "pa-lru"),
-    ):
-        out[label] = speedup_percent(geomean_speedup(run_config(policy, replacement), base))
-    return out
+    res = {
+        replacement: run_policies(
+            workloads, policies,
+            base_spec=dc_replace(spec, params=_params_with_replacement(replacement)))
+        for replacement, policies in (("lru", ["discard", "permit", "dripper"]),
+                                      ("pa-lru", ["permit", "dripper"]))
+    }
+    base = res["lru"]["discard"]
+    return {
+        f"{policy} + {replacement}": speedup_percent(
+            geomean_speedup(res[replacement][policy], base))
+        for policy in ("permit", "dripper")
+        for replacement in ("lru", "pa-lru")
+    }
 
 
 def test_ablation_replacement(benchmark):

@@ -7,14 +7,10 @@ catastrophically lose to Discard — the filter's conservative default plus
 vUB bootstrap protect even poorly-correlated features.
 """
 
-from dataclasses import replace
-
 from conftest import bench_scale
 
 from repro.core.features import TABLE_I_FEATURES
-from repro.core.filter import single_feature_filter
-from repro.cpu.simulator import simulate
-from repro.experiments import format_table, geomean_speedup, run_many, speedup_percent
+from repro.experiments import format_table, geomean_speedup, run_policies, speedup_percent
 from repro.experiments.runner import RunSpec
 from repro.workloads import seen_workloads, stratified_sample
 
@@ -29,18 +25,13 @@ def run_zoo(scale):
         warmup_instructions=scale.warmup_instructions,
         sim_instructions=scale.sim_instructions,
     )
-    base = run_many(workloads, replace(spec, policy="discard"))
-    out = {}
-    for feature_name in EXTRA_FEATURES + TABLE_I_FEATURES:
-        results = []
-        for workload in workloads:
-            config = replace(
-                spec.config_for(workload),
-                policy_factory=lambda: single_feature_filter(feature_name),
-            )
-            results.append(simulate(workload, config))
-        out[feature_name] = speedup_percent(geomean_speedup(results, base))
-    return out
+    features = EXTRA_FEATURES + TABLE_I_FEATURES
+    res = run_policies(workloads, ["discard", *(f"single:{name}" for name in features)],
+                       base_spec=spec)
+    return {
+        name: speedup_percent(geomean_speedup(res[f"single:{name}"], res["discard"]))
+        for name in features
+    }
 
 
 def test_feature_zoo(benchmark):

@@ -14,6 +14,7 @@ reduced-scale race bounds the reconstruction error hard while keeping the
 wall-clock floor generous.
 """
 
+from dataclasses import replace
 from time import perf_counter
 
 from repro.experiments import RunSpec, Scale
@@ -140,13 +141,14 @@ class TestMixThroughput:
         spec = RunSpec(prefetcher=recorded["prefetcher"],
                        warmup_instructions=2_000, sim_instructions=6_000, packed=False)
         mixes = make_mixes(2, 4, seed=42)
-        cells = [mix_cell_for(mix, spec, policy=policy, mix_id=i)
+        cells = [mix_cell_for(mix, replace(spec, policy=policy), mix_id=i)
                  for i, mix in enumerate(mixes)
                  for policy in ("discard", "dripper")]
+        packed_cells = [replace(cell, spec=replace(cell.spec, packed=True)) for cell in cells]
 
         def packed_grid():
             with grid_session(2):
-                return run_mix_cells(cells, jobs=2)
+                return run_mix_cells(packed_cells, jobs=2)
 
         t_serial, serial = _best_of(2, lambda: run_mix_cells(cells, jobs=1))
         t_packed, packed = _best_of(2, packed_grid)

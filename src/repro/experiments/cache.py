@@ -2,8 +2,8 @@
 
 A cache entry maps the SHA-256 fingerprint of one grid cell's *complete*
 inputs — the full :class:`~repro.cpu.simulator.SimConfig` dump (every
-hardware parameter included), the declarative :class:`RunSpec`, any sweep
-overrides, and the workload identity with its trace seed — to the finished
+hardware parameter included), the declarative :class:`RunSpec`, and the
+workload identity with its trace seed — to the finished
 :class:`~repro.cpu.simulator.SimResult`.  Because every run in this repo is
 deterministic given those inputs, a cache hit is bit-identical to re-running
 the cell: JSON round-trips Python floats exactly.
@@ -36,8 +36,9 @@ _STORES = get_metrics().counter("result_cache.stores", "freshly written entries"
 
 #: bump when the entry layout or the fingerprint payload changes incompatibly
 #: (2: merged-latency-floor timing fix, pruned/deduped in-flight-miss feature,
-#: measured TLB prefetch counters, SimResult.tlb_prefetch_evicted_unused)
-CACHE_SCHEMA = 2
+#: measured TLB prefetch counters, SimResult.tlb_prefetch_evicted_unused;
+#: 3: sweep and mix ISO cells get ISO's prefetcher storage)
+CACHE_SCHEMA = 3
 
 
 def canonical_json(payload: Any) -> str:

@@ -380,7 +380,7 @@ def fig19_multicore(
     PGC); every other policy is reported as a per-mix weighted-speedup
     distribution plus its geomean.  The paper runs 300 mixes
     (``n_mixes=300``); at that scale pass ``jobs=`` to fan mixes out as
-    affine chunks (one mix per worker chunk, packed cores) and ``cache=``
+    affine chunks (one mix per worker chunk) and ``cache=``
     (a :class:`~repro.experiments.cache.ResultCache`) to dedupe the
     isolation runs — every workload × policy isolation IPC is an ordinary
     content-addressed cell, shared across all mixes that draw it.
@@ -410,12 +410,12 @@ def fig19_multicore(
     unique = {w.name: w for mix in mixes for w in mix}
     iso_params = DEFAULT_PARAMS.scaled_llc(cores)
     iso_cells = [
-        cell_for(w, spec, policy=policy, params=iso_params)
+        cell_for(w, replace(spec, policy=policy, params=iso_params))
         for policy in policies
         for w in unique.values()
     ]
     mix_cells = [
-        mix_cell_for(mix, spec, policy=policy, mix_id=i)
+        mix_cell_for(mix, replace(spec, policy=policy), mix_id=i)
         for policy in policies
         for i, mix in enumerate(mixes)
     ]

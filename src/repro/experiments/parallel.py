@@ -1,8 +1,8 @@
 """Parallel, cached execution of experiment-grid cells.
 
 Every grid helper (``run_many``/``run_policies``/the sweeps) lowers its loop
-nest to a flat list of :class:`Cell`\\ s — picklable descriptions of one
-(workload × spec × overrides) point — and hands them to :func:`run_cells`:
+nest to a flat list of :class:`Cell`\\ s — picklable (workload ×
+:class:`RunSpec`) points — and hands them to :func:`run_cells`:
 
 * ``jobs=1`` executes the cells in process, one workload at a time, and
   returns them in input order;
@@ -39,9 +39,10 @@ amid cheap discard ones — this keeps the long poles from landing last and
 serialising the batch tail; on uniform grids it degrades to the old
 largest-chunk-first order.
 
-Pool cells run exactly the config the serial path builds; the parent packs
-nothing.  :func:`run_cells` and :func:`run_mix_cells` share this pool path
-(:func:`_run_on_pool`); each only plans its own chunks.
+Pool cells run exactly the config the serial path builds from the cell's
+``spec``; the parent packs nothing.  :func:`run_cells` and
+:func:`run_mix_cells` share this pool path (:func:`_run_on_pool`); each only
+plans its own chunks.
 
 Every parallel batch builds its own pool unless it runs inside a
 :func:`grid_session`, which keeps one alive across several batches —
@@ -76,20 +77,19 @@ import os
 import traceback
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import contextmanager, nullcontext
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from time import perf_counter
 
-from repro.cpu.simulator import SimConfig, SimResult, simulate_policies
+from repro.cpu.simulator import SimResult, simulate_policies
 from repro.cpu.simulator import simulate  # noqa: F401 - perfbench's tracer patches it here
 from repro.experiments.cache import CACHE_SCHEMA, ResultCache, fingerprint
-from repro.experiments.runner import RunSpec, policy_factory
+from repro.experiments.runner import RunSpec
 from repro.obs.journal import RunJournal, describe_config, describe_workload
 from repro.obs.metrics import MetricsSnapshot, get_metrics, reset_metrics
 from repro.obs.progress import GridProgress, ProgressSink
 from repro.obs.tracing import Tracer, current_tracer, install_tracer, trace_span
-from repro.params import SystemParams
 from repro.workloads.packed import clear_pack_cache
 from repro.workloads.registry import by_name
 from repro.workloads.trace import trace_window
@@ -109,26 +109,27 @@ _COALESCED = get_metrics().counter(
 
 @dataclass(frozen=True)
 class Cell:
-    """One picklable grid cell: workload identity + spec + overrides.
+    """One picklable grid cell: a workload identity and the spec it runs.
 
     ``workload`` is a registry name resolved via
     :func:`~repro.workloads.registry.by_name` in whichever process runs the
     cell; non-registry workloads (e.g. a :class:`FileWorkload`) ride along
     as ``workload_obj`` and must themselves be picklable to cross a process
-    boundary.  ``policy`` overrides only the policy *factory* (mirroring the
-    sweeps' ``replace(config, policy_factory=...)``), leaving every other
-    spec-derived knob — e.g. ISO's extra prefetcher storage — untouched.
+    boundary.  ``spec`` is everything else the run depends on — policy,
+    hardware parameters and epoch length included.
     """
 
     workload: str
     spec: RunSpec
-    policy: Optional[str] = None
-    params: Optional[SystemParams] = None
-    epoch_instructions: Optional[int] = None
     #: journal-context entries for this cell (sweep coordinates etc.);
     #: the run's `spec` is always recorded alongside
     context: Optional[dict[str, Any]] = None
     workload_obj: Optional[Any] = None
+
+    @property
+    def policy(self) -> str:
+        """The page-cross policy this cell runs (``spec.policy``)."""
+        return self.spec.policy
 
     def resolve_workload(self) -> Any:
         """The workload object this cell runs (registry lookup by default)."""
@@ -137,7 +138,8 @@ class Cell:
         return by_name(self.workload)
 
 
-def cell_for(workload: Any, spec: RunSpec, **overrides: Any) -> Cell:
+def cell_for(workload: Any, spec: RunSpec, *,
+             context: Optional[dict[str, Any]] = None) -> Cell:
     """Build a Cell, carrying the workload by registry name when possible."""
     name = getattr(workload, "name", str(workload))
     try:
@@ -147,22 +149,9 @@ def cell_for(workload: Any, spec: RunSpec, **overrides: Any) -> Cell:
     return Cell(
         workload=name,
         spec=spec,
+        context=context,
         workload_obj=None if registered else workload,
-        **overrides,
     )
-
-
-def build_config(cell: Cell, workload: Any) -> SimConfig:
-    """Materialise the cell's SimConfig exactly as the serial helpers do."""
-    config = cell.spec.config_for(workload)
-    overrides: dict[str, Any] = {}
-    if cell.params is not None:
-        overrides["params"] = cell.params
-    if cell.policy is not None:
-        overrides["policy_factory"] = policy_factory(cell.policy, cell.spec.prefetcher)
-    if cell.epoch_instructions is not None:
-        overrides["epoch_instructions"] = cell.epoch_instructions
-    return replace(config, **overrides) if overrides else config
 
 
 def cell_fingerprint(cell: Cell, workload: Optional[Any] = None) -> str:
@@ -175,18 +164,14 @@ def cell_fingerprint(cell: Cell, workload: Optional[Any] = None) -> str:
     """
     if workload is None:
         workload = cell.resolve_workload()
-    config = build_config(cell, workload)
     spec_dump = asdict(cell.spec)
     # validation is observational — a validated run returns the identical
     # result, so validated and unvalidated cells share cache entries; the
     # packed fast path is bit-identical by contract, so it shares them too
-    spec_dump.pop("validate", None)
-    spec_dump.pop("packed", None)
-    # sampling, by contrast, changes the result (a reconstruction, not a
-    # bit-identical rerun) and so must stay in the fingerprint when set;
-    # popped when None so pre-sampling cache entries remain addressable
-    if spec_dump.get("sampling") is None:
-        spec_dump.pop("sampling", None)
+    spec_dump.pop("validate")
+    spec_dump.pop("packed")
+    # the config dump records the params in effect (None = DEFAULT_PARAMS)
+    spec_dump.pop("params")
     identity = describe_workload(workload)
     for knob in ("store_fraction", "code_lines", "mispredict_rate",
                  "branch_profile", "pcs_per_pattern", "path"):
@@ -197,8 +182,7 @@ def cell_fingerprint(cell: Cell, workload: Optional[Any] = None) -> str:
         "schema": CACHE_SCHEMA,
         "workload": identity,
         "spec": spec_dump,
-        "policy": cell.policy,
-        "config": describe_config(config, policy_name=cell.policy or cell.spec.policy),
+        "config": describe_config(cell.spec.config_for(workload), policy_name=cell.spec.policy),
     })
 
 
@@ -239,21 +223,17 @@ def execute_cells(cells: Sequence[Cell], *,
     for indices in _workload_groups(cells, range(len(cells))):
         group = [cells[i] for i in indices]
         workload = group[0].resolve_workload()
-        configs = [build_config(cell, workload) for cell in group]
+        configs = [cell.spec.config_for(workload) for cell in group]
         contexts = None if obs is None else [
             {"spec": asdict(cell.spec), **(cell.context or {})} for cell in group]
         start = perf_counter()
         with trace_span("cell", category="grid", workload=group[0].workload,
-                        policy=",".join(_policy_of(cell) for cell in group)):
+                        policy=",".join(cell.policy for cell in group)):
             landed = simulate_policies(workload, configs, obs=obs, contexts=contexts)
         _account_cells(landed, perf_counter() - start)
         for i, result in zip(indices, landed):
             results[i] = result
     return results  # type: ignore[return-value]
-
-
-def _policy_of(cell: "Cell | MixCell") -> str:
-    return cell.policy or cell.spec.policy
 
 
 def _workload_groups(cells: Sequence[Cell], indices: Iterable[int]) -> list[list[int]]:
@@ -439,15 +419,15 @@ def _affine_groups(
     """Group pending cell indices by (workload identity, pack window).
 
     Returns ``(indices, warmup, sim)`` per group, in first-seen order.  The
-    window comes from each cell's *built* config (so per-suite adjustments
-    like QMM half-length windows are respected), which is also exactly the
+    window is each cell's :func:`~repro.workloads.trace.trace_window` (so
+    QMM half-length windows are respected), which is also exactly the
     window the worker's ``get_packed`` will pack.
     """
     groups: dict[tuple, tuple[list[int], int, int]] = {}
     for i in pending:
         cell = cells[i]
-        config = build_config(cell, cell.resolve_workload())
-        window = (config.warmup_instructions, config.sim_instructions)
+        window = trace_window(cell.resolve_workload(), cell.spec.warmup_instructions,
+                              cell.spec.sim_instructions)
         key = (cell.workload,
                id(cell.workload_obj) if cell.workload_obj is not None else None,
                *window)
@@ -485,7 +465,7 @@ def chunk_cost(cells: Sequence[Any], indices: Sequence[int],
     dispatch chunks costliest-first — see the module docstring.
     """
     return float(records) * sum(
-        policy_cost_weight(cells[i].policy or cells[i].spec.policy)
+        policy_cost_weight(cells[i].policy)
         for i in indices)
 
 
@@ -508,7 +488,8 @@ def _run_on_pool(
     runs each through ``execute``.  As each chunk lands, its report's metrics
     delta, journal records, run count and spans are merged into the parent's
     registry, journal, ``obs.runs`` and tracer; then its exception (if any)
-    is raised, or ``finish(i, result)`` lands each result.  Without an
+    is raised, after cancelling every chunk not yet started, or
+    ``finish(i, result)`` lands each result.  Without an
     enclosing :func:`grid_session` the batch builds (and closes) its own
     session of ``workers`` processes.
     """
@@ -523,6 +504,7 @@ def _run_on_pool(
     ephemeral = session is None
     if ephemeral:
         session = _GridSession(workers)
+    futures: dict = {}
     try:
         pool = session.pool()
         futures = {
@@ -555,6 +537,10 @@ def _run_on_pool(
                 raise report.error from _WorkerTraceback(report.error_trace)
             for i, result in report.results:
                 finish(i, result)
+    except BaseException:
+        for future in futures:
+            future.cancel()
+        raise
     finally:
         if ephemeral:
             session.close()
@@ -619,7 +605,7 @@ def run_cells(
         if on_result is not None:
             on_result(i, result, False)
         if prog is not None:
-            prog.cell_finish(i, cells[i].workload, _policy_of(cells[i]),
+            prog.cell_finish(i, cells[i].workload, cells[i].policy,
                              cached=False, instructions=result.instructions)
         for dup in duplicates.get(i, ()):
             dup_result = cache.get(keys[dup]) if cache is not None else None
@@ -628,7 +614,7 @@ def run_cells(
             if on_result is not None:
                 on_result(dup, results[dup], True)
             if prog is not None:
-                prog.cell_finish(dup, cells[dup].workload, _policy_of(cells[dup]),
+                prog.cell_finish(dup, cells[dup].workload, cells[dup].policy,
                                  cached=True,
                                  instructions=results[dup].instructions)
 
@@ -637,7 +623,7 @@ def run_cells(
         for group in _workload_groups(cells, pending):
             if prog is not None:
                 for i in group:
-                    prog.cell_start(i, cells[i].workload, _policy_of(cells[i]))
+                    prog.cell_start(i, cells[i].workload, cells[i].policy)
             for i, result in zip(group, execute_cells([cells[i] for i in group], obs=obs)):
                 finish(i, result)
     else:
@@ -664,18 +650,21 @@ def run_cells(
 
 @dataclass(frozen=True)
 class MixCell:
-    """One picklable multi-core grid cell: a workload mix + spec + policy.
+    """One picklable multi-core grid cell: a workload mix and the spec it runs.
 
     ``workloads`` are registry names (mixes come from
     :func:`~repro.workloads.make_mixes`, which draws from the registry), so
-    a mix cell crosses process boundaries by name alone.  ``policy``
-    overrides only the policy *factory*, exactly like :class:`Cell`.
+    a mix cell crosses process boundaries by name alone.
     """
 
     workloads: tuple[str, ...]
     spec: RunSpec
-    policy: Optional[str] = None
     mix_id: Optional[int] = None
+
+    @property
+    def policy(self) -> str:
+        """The page-cross policy this mix runs (``spec.policy``)."""
+        return self.spec.policy
 
     def resolve_workloads(self) -> list[Any]:
         """The workload objects this mix runs, in core order."""
@@ -686,22 +675,14 @@ class MixCell:
         return f"mix-{self.mix_id}" if self.mix_id is not None else "mix"
 
 
-def mix_cell_for(mix: Sequence[Any], spec: RunSpec, **overrides: Any) -> MixCell:
+def mix_cell_for(mix: Sequence[Any], spec: RunSpec, *,
+                 mix_id: Optional[int] = None) -> MixCell:
     """Build a MixCell from workload objects (carried by registry name)."""
     return MixCell(
         workloads=tuple(getattr(w, "name", str(w)) for w in mix),
         spec=spec,
-        **overrides,
+        mix_id=mix_id,
     )
-
-
-def build_mix_config(cell: MixCell) -> SimConfig:
-    """Materialise the mix's shared SimConfig (nominal windows; per-core
-    QMM halving is ``simulate_mix``'s job)."""
-    config = cell.spec.base_config()
-    if cell.policy is not None:
-        config.policy_factory = policy_factory(cell.policy, cell.spec.prefetcher)
-    return config
 
 
 def execute_mix_cell(cell: MixCell, *,
@@ -710,10 +691,11 @@ def execute_mix_cell(cell: MixCell, *,
     from repro.cpu.multicore import simulate_mix
 
     workloads = cell.resolve_workloads()
-    config = build_mix_config(cell)
+    # nominal windows: per-core QMM halving is simulate_mix's job
+    config = cell.spec.base_config()
     start = perf_counter()
     with trace_span("mix-cell", category="grid",
-                    mix=cell.mix_id, policy=_policy_of(cell), cores=len(workloads)):
+                    mix=cell.mix_id, policy=cell.policy, cores=len(workloads)):
         with obs.scoped(spec=asdict(cell.spec)) if obs is not None else nullcontext():
             result = simulate_mix(workloads, config, obs=obs, mix_id=cell.mix_id)
     _account_cells([result], perf_counter() - start)
@@ -745,10 +727,8 @@ def run_mix_cells(
     other work, packing each core's workload (at its QMM-halved window where
     applicable) through its own pack cache — mixes overlap heavily in
     workloads, so a worker's later mixes reuse the packs its earlier ones
-    paid for.  Worker-dispatched mixes run the packed drive loop
-    (bit-identical to the serial generator loop); there is no result cache
-    at the mix level — the cacheable unit is the *isolation* run, which is
-    an ordinary :class:`Cell`.
+    paid for.  There is no result cache at the mix level — the cacheable
+    unit is the *isolation* run, which is an ordinary :class:`Cell`.
     """
     cells = list(cells)
     if jobs < 1:
@@ -763,14 +743,14 @@ def run_mix_cells(
         if on_result is not None:
             on_result(i, result, False)
         if prog is not None:
-            prog.cell_finish(i, cells[i].label(), _policy_of(cells[i]), cached=False,
+            prog.cell_finish(i, cells[i].label(), cells[i].policy, cached=False,
                              instructions=result.instructions)
 
     workers = min(jobs, len(cells))
     if workers <= 1:
         for i in range(len(cells)):
             if prog is not None:
-                prog.cell_start(i, cells[i].label(), _policy_of(cells[i]))
+                prog.cell_start(i, cells[i].label(), cells[i].policy)
             finish(i, execute_mix_cell(cells[i], obs=obs))
     else:
         # a mix's wall-clock tracks its total per-core window mass
@@ -781,9 +761,7 @@ def run_mix_cells(
                 for workload in cell.resolve_workloads())))
             for i, cell in enumerate(cells)
         ]
-        # workers always run the packed mix loop
-        packed = [replace(cell, spec=replace(cell.spec, packed=True)) for cell in cells]
-        _run_on_pool(packed, workers, chunks, execute_mix_cells, finish, obs, prog)
+        _run_on_pool(cells, workers, chunks, execute_mix_cells, finish, obs, prog)
 
     missing = [i for i, r in enumerate(results) if r is None]
     if missing:  # pragma: no cover - defensive; every path above fills results

@@ -12,11 +12,14 @@ from functools import partial
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from repro.core.dripper import make_dripper, make_dripper_sf
+from repro.core.features import FEATURES
 from repro.core.filter import single_feature_filter
 from repro.core.policies import DiscardPgc, DiscardPtw, PageCrossPolicy, PermitPgc
 from repro.core.ppf import make_ppf, make_ppf_dthr
+from repro.core.system_features import SYSTEM_FEATURES
 from repro.cpu.simulator import SimConfig, SimResult
 from repro.cpu.simulator import simulate  # noqa: F401 - perfbench's tracer patches it here
+from repro.params import DEFAULT_PARAMS, SystemParams
 from repro.workloads.synthetic import SyntheticWorkload
 from repro.workloads.trace import trace_window
 
@@ -29,16 +32,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: DRIPPER's hardware budget, handed to the prefetcher in the ISO scenario
 ISO_STORAGE_BYTES = 1475
 
-#: Figure 14's single-feature filters: policy name -> (feature, is a system feature)
-_SINGLE_FEATURES = {
-    "single:delta": ("Delta", False),
-    "single:stlb mpki": ("sTLB MPKI", True),
-    "single:stlb miss rate": ("sTLB Miss Rate", True),
-}
-
 
 def policy_factory(name: str, prefetcher: str) -> Callable[[], PageCrossPolicy]:
-    """Named page-cross policy factories (the Figure 9 and Figure 14 scenario sets)."""
+    """Named page-cross policy factories (the Figure 9 and Figure 14 scenario sets).
+
+    ``single:<feature>`` names a filter driven by one registered program or
+    system feature (case-insensitive), e.g. Figure 14's ``single:Delta``.
+    """
     key = name.lower()
     if key in ("discard", "discard-pgc"):
         return DiscardPgc
@@ -57,15 +57,22 @@ def policy_factory(name: str, prefetcher: str) -> Callable[[], PageCrossPolicy]:
         return make_ppf
     if key in ("ppf+dthr", "ppf-dthr"):
         return make_ppf_dthr
-    if key in _SINGLE_FEATURES:
-        feature, system = _SINGLE_FEATURES[key]
-        return partial(single_feature_filter, feature, system=system)
+    if key.startswith("single:"):
+        features = {feature.lower(): (feature, False) for feature in FEATURES}
+        features.update((feature.lower(), (feature, True)) for feature in SYSTEM_FEATURES)
+        wanted = features.get(key[len("single:"):])
+        if wanted is not None:
+            feature, system = wanted
+            return partial(single_feature_filter, feature, system=system)
     raise KeyError(f"unknown policy {name!r}")
 
 
 @dataclass(frozen=True)
 class RunSpec:
-    """One cell of an experiment grid."""
+    """Everything one experiment-grid cell runs, as a picklable description.
+
+    :meth:`config_for`/:meth:`base_config` are the one path to a SimConfig.
+    """
 
     prefetcher: str = "berti"
     policy: str = "discard"
@@ -74,6 +81,10 @@ class RunSpec:
     sim_instructions: int = 60_000
     large_page_fraction: float = 0.0
     filter_at_native_boundary: bool = False
+    #: ``None`` runs DEFAULT_PARAMS (and keeps journal records' ``context.spec``
+    #: free of a second dump of ``config.params``)
+    params: Optional[SystemParams] = None
+    epoch_instructions: int = SimConfig.epoch_instructions
     #: attach a runtime InvariantChecker to each run (purely observational:
     #: a validated run produces the same SimResult, so the result cache
     #: deliberately ignores this knob — see `cell_fingerprint`)
@@ -111,7 +122,9 @@ class RunSpec:
             l2_prefetcher=self.l2_prefetcher,
             warmup_instructions=self.warmup_instructions,
             sim_instructions=self.sim_instructions,
+            params=self.params if self.params is not None else DEFAULT_PARAMS,
             large_page_fraction=self.large_page_fraction,
+            epoch_instructions=self.epoch_instructions,
             prefetcher_extra_storage=ISO_STORAGE_BYTES if self.policy.lower().startswith("iso") else 0,
             validate=self.validate,
             packed=self.packed,

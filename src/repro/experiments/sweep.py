@@ -82,14 +82,10 @@ def sweep_parameter(
     grid = [(value, policy) for value in values for policy in ("discard", *policies)]
     cells: list[Cell] = []
     for value, policy in grid:
-        # spec.config_for never customises params, so the transform's input
-        # is the SimConfig default
-        params = transform(DEFAULT_PARAMS, value)
+        point = replace(spec, policy=policy,
+                        params=transform(spec.params or DEFAULT_PARAMS, value))
         cells.extend(
-            cell_for(
-                workload, spec, policy=policy, params=params,
-                context={"sweep": {"value": value, "policy": policy}},
-            )
+            cell_for(workload, point, context={"sweep": {"value": value, "policy": policy}})
             for workload in workloads
         )
     flat = run_cells(cells, jobs=jobs, cache=cache, obs=obs, progress=progress)
@@ -125,19 +121,17 @@ def sweep_epoch_length(
     cell batch (and, with a cache, at most once ever).
     """
     spec = base_spec or RunSpec(prefetcher=prefetcher)
+    baseline = replace(spec, policy="discard")
     cells = [
-        cell_for(
-            workload, spec, policy="discard",
-            context={"sweep": {"epoch_instructions": None, "policy": "discard"}},
-        )
+        cell_for(workload, baseline,
+                 context={"sweep": {"epoch_instructions": None, "policy": "discard"}})
         for workload in workloads
     ]
     for epoch in epoch_lengths:
+        point = replace(spec, policy="dripper", epoch_instructions=epoch)
         cells.extend(
-            cell_for(
-                workload, spec, policy="dripper", epoch_instructions=epoch,
-                context={"sweep": {"epoch_instructions": epoch, "policy": "dripper"}},
-            )
+            cell_for(workload, point,
+                     context={"sweep": {"epoch_instructions": epoch, "policy": "dripper"}})
             for workload in workloads
         )
     flat = run_cells(cells, jobs=jobs, cache=cache, obs=obs, progress=progress)

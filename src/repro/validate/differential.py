@@ -188,9 +188,9 @@ def check_parallel_matches_serial(workload_names: Sequence[str], *,
             warmup,
             sim,
             large_page_fraction=rng.choice((0.0, 0.25)),
+            epoch_instructions=rng.choice(_FUZZ_EPOCHS),
         )
-        cells.append(cell_for(workload, spec,
-                              epoch_instructions=rng.choice(_FUZZ_EPOCHS)))
+        cells.append(cell_for(workload, spec))
     serial = run_cells(cells, jobs=1)
     parallel = run_cells(cells, jobs=max(2, jobs))
     name = f"parallel-vs-serial[{fuzz_cells} cells]"

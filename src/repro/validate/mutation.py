@@ -23,8 +23,13 @@ def reintroduce_stale_mshr_bug() -> Iterator[None]:
     re-registered lines — so the ``l1d_inflight_misses`` policy feature
     drifted far above the real miss-level parallelism.  A validated run
     under this shim must raise an ``mshr-accounting``
-    :class:`InvariantViolation`.
+    :class:`InvariantViolation`.  A grid session's pool forked inside the
+    block inherits the patch, so it is closed on exit.
     """
+    from repro.experiments import parallel
+
+    session = parallel._SESSION
+    pool = session._pool if session is not None else None
     original = Cache.in_flight_misses
 
     def buggy(self: Cache, t: float) -> int:
@@ -35,3 +40,5 @@ def reintroduce_stale_mshr_bug() -> Iterator[None]:
         yield
     finally:
         Cache.in_flight_misses = original  # type: ignore[method-assign]
+        if session is not None and session._pool is not pool:
+            session.close()

@@ -4,7 +4,7 @@ import json
 from dataclasses import replace
 
 from repro.experiments.cache import CACHE_SCHEMA, ResultCache, canonical_json, fingerprint
-from repro.experiments.parallel import cell_for, cell_fingerprint
+from repro.experiments.parallel import cell_for, cell_fingerprint, run_cells
 from repro.experiments.runner import RunSpec, run_many, run_policies
 from repro.experiments.sweep import dram_latency_transform, stlb_size_transform
 from repro.params import DEFAULT_PARAMS
@@ -26,7 +26,7 @@ class TestFingerprint:
         # existing cache entries stay addressable only while this holds:
         # a change here must be deliberate and bump CACHE_SCHEMA
         assert cell_fingerprint(cell_for(by_name("astar"), FAST)) == (
-            "a412bb04af0d66469eb095f1a20803209d1de6e4c3ac92788f609f7879fe1f0a")
+            "8c6bacadfcf61aaae4afa3356821cb5446a934bcf5fc5893b713d3071517eb25")
 
     def test_workload_changes_key(self):
         assert cell_fingerprint(cell_for(by_name("astar"), FAST)) != \
@@ -48,21 +48,33 @@ class TestFingerprint:
     def test_params_override_changes_key(self):
         w = by_name("astar")
         base = cell_fingerprint(cell_for(w, FAST))
-        resized = cell_for(w, FAST, params=stlb_size_transform(DEFAULT_PARAMS, 768))
-        relat = cell_for(w, FAST, params=dram_latency_transform(DEFAULT_PARAMS, 300))
+        resized = cell_for(w, replace(FAST, params=stlb_size_transform(DEFAULT_PARAMS, 768)))
+        relat = cell_for(w, replace(FAST, params=dram_latency_transform(DEFAULT_PARAMS, 300)))
         assert len({base, cell_fingerprint(resized), cell_fingerprint(relat)}) == 3
 
     def test_default_params_and_explicit_default_collide(self):
         # same effective config -> same key: this is what shares baselines
         w = by_name("astar")
         implicit = cell_for(w, FAST)
-        explicit = cell_for(w, FAST, params=DEFAULT_PARAMS)
+        explicit = cell_for(w, replace(FAST, params=DEFAULT_PARAMS))
         assert cell_fingerprint(implicit) == cell_fingerprint(explicit)
 
     def test_epoch_override_changes_key(self):
         w = by_name("hmmer")
-        assert cell_fingerprint(cell_for(w, FAST, epoch_instructions=512)) != \
+        assert cell_fingerprint(cell_for(w, replace(FAST, epoch_instructions=512))) != \
             cell_fingerprint(cell_for(w, FAST))
+
+    def test_equal_specs_coalesce_and_variants_do_not(self, tmp_path):
+        # params and epoch length are spec fields: a variant simulates on its
+        # own, while a spec equal in effect to another is served off it
+        cache = ResultCache(tmp_path)
+        specs = (FAST, replace(FAST, params=DEFAULT_PARAMS),
+                 replace(FAST, params=stlb_size_transform(DEFAULT_PARAMS, 768)),
+                 replace(FAST, epoch_instructions=512))
+        results = run_cells([cell_for(by_name("hmmer"), spec) for spec in specs],
+                            cache=cache)
+        assert cache.stats == {"hits": 1, "misses": 3, "stores": 3}
+        assert results[1] == results[0]
 
 
 class TestResultCache:

@@ -1,9 +1,10 @@
 """Mix-affine scheduling: serial equivalence, pack sharing, fig19 at scale."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.experiments.parallel import (
-    build_mix_config,
     grid_session,
     mix_cell_for,
     run_mix_cells,
@@ -21,7 +22,8 @@ def _mix(names=("astar", "hmmer", "mcf", "lbm")):
 
 class TestMixCellBasics:
     def test_mix_cell_carries_registry_names(self):
-        cell = mix_cell_for(_mix(), FAST, policy="permit", mix_id=3)
+        cell = mix_cell_for(_mix(), replace(FAST, policy="permit"), mix_id=3)
+        assert cell.policy == "permit"
         assert cell.workloads == ("astar", "hmmer", "mcf", "lbm")
         assert [w.name for w in cell.resolve_workloads()] == list(cell.workloads)
         assert cell.label() == "mix-3"
@@ -29,15 +31,8 @@ class TestMixCellBasics:
     def test_mix_cells_are_picklable(self):
         import pickle
 
-        cell = mix_cell_for(_mix(), FAST, policy="dripper", mix_id=0)
+        cell = mix_cell_for(_mix(), replace(FAST, policy="dripper"), mix_id=0)
         assert pickle.loads(pickle.dumps(cell)) == cell
-
-    def test_build_mix_config_applies_policy_override(self):
-        plain = build_mix_config(mix_cell_for(_mix(), FAST))
-        overridden = build_mix_config(mix_cell_for(_mix(), FAST, policy="permit"))
-        assert plain.policy_factory is not overridden.policy_factory
-        # nominal windows: per-core QMM halving is simulate_mix's job
-        assert overridden.warmup_instructions == FAST.warmup_instructions
 
     def test_run_mix_cells_rejects_bad_jobs(self):
         with pytest.raises(ValueError, match="jobs"):
@@ -50,7 +45,7 @@ class TestMixSerialParallelEquivalence:
         # cores); every policy of every mix must match the serial run
         mixes = make_mixes(2, 4, seed=11)
         cells = [
-            mix_cell_for(mix, FAST, policy=policy, mix_id=i)
+            mix_cell_for(mix, replace(FAST, policy=policy), mix_id=i)
             for i, mix in enumerate(mixes)
             for policy in ("discard", "dripper")
         ]
@@ -110,6 +105,22 @@ class TestFig19:
         # the second invocation re-simulates no isolation cell
         assert cache.stats["stores"] == stored
         assert cache.stats["hits"] >= stored
+
+    def test_fig19_iso_cells_carry_iso_storage(self, tmp_path):
+        from repro.experiments.figures import fig19_multicore
+        from repro.experiments.runner import ISO_STORAGE_BYTES
+
+        journal = tmp_path / "runs.jsonl"
+        obs = Observability(journal=RunJournal(journal))
+        fig19_multicore(n_mixes=1, cores=2, warmup_instructions=1_000,
+                        sim_instructions=3_000, seed=3, policies=("discard", "iso"),
+                        obs=obs)
+        obs.close()
+        records = read_journal(journal)
+        storage = {(r["context"]["spec"]["policy"], "mix" in r["context"],
+                    r["config"]["prefetcher_extra_storage"]) for r in records}
+        assert storage == {("discard", False, 0), ("discard", True, 0),
+                           ("iso", False, ISO_STORAGE_BYTES), ("iso", True, ISO_STORAGE_BYTES)}
 
     def test_fig19_rejects_degenerate_policy_list(self):
         from repro.experiments.figures import fig19_multicore

@@ -1,6 +1,8 @@
 """Parallel/cached grid execution: serial equivalence, caching, journaling."""
 
 import os
+import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -9,6 +11,7 @@ from repro.experiments.cache import ResultCache
 from repro.experiments.parallel import (
     Cell,
     _affine_groups,
+    _run_on_pool,
     cell_for,
     chunk_cost,
     grid_session,
@@ -57,6 +60,16 @@ def _children() -> list[int]:
     return children
 
 
+def _mark_chunk(markers, obs=None):
+    """A pool ``execute`` that marks each chunk it runs; chunk 0 raises."""
+    for marker in markers:
+        Path(marker).touch()
+        if marker.endswith("-0"):
+            raise RuntimeError("chunk 0 failed")
+        time.sleep(0.2)
+    return [None] * len(markers)
+
+
 class TestCellBasics:
     def test_cell_for_registry_workload_carries_name_only(self):
         cell = cell_for(by_name("astar"), FAST)
@@ -79,10 +92,11 @@ class TestCellBasics:
     def test_cells_are_picklable(self):
         import pickle
 
-        cell = cell_for(by_name("astar"), FAST, policy="permit",
+        cell = cell_for(by_name("astar"), replace(FAST, policy="permit"),
                         context={"sweep": {"value": 1}})
         clone = pickle.loads(pickle.dumps(cell))
         assert clone == cell
+        assert clone.policy == "permit"
 
     def test_run_cells_rejects_bad_jobs(self):
         with pytest.raises(ValueError, match="jobs"):
@@ -142,8 +156,6 @@ class TestCacheBehaviour:
         cache = ResultCache(tmp_path)
         run_many(_workloads(("astar",)), FAST, cache=cache)
         assert cache.stats["stores"] == 1
-        from dataclasses import replace
-
         run_many(_workloads(("astar",)), replace(FAST, sim_instructions=4_000), cache=cache)
         assert cache.stats["stores"] == 2  # different fingerprint -> re-simulated
 
@@ -258,7 +270,7 @@ class TestMergedJournal:
 class TestAffineScheduling:
     def test_groups_by_workload_and_window(self):
         cells = [
-            cell_for(by_name(w), FAST, policy=p)
+            cell_for(by_name(w), replace(FAST, policy=p))
             for p in ("discard", "permit")
             for w in ("astar", "hmmer")
         ]
@@ -267,8 +279,6 @@ class TestAffineScheduling:
         assert all((warm, sim) == (1_000, 3_000) for _, warm, sim in groups)
 
     def test_window_splits_groups(self):
-        from dataclasses import replace
-
         longer = replace(FAST, sim_instructions=4_000)
         cells = [cell_for(by_name("astar"), spec) for spec in (FAST, longer, FAST)]
         groups = _affine_groups(cells, range(len(cells)))
@@ -284,7 +294,7 @@ class TestCostAwareScheduling:
         assert policy_cost_weight("never-heard-of-it") == 1.0
 
     def test_chunk_cost_scales_with_records_and_policy(self):
-        cells = [cell_for(by_name("astar"), FAST, policy=p)
+        cells = [cell_for(by_name("astar"), replace(FAST, policy=p))
                  for p in ("discard", "dripper")]
         cheap = chunk_cost(cells, [0], records=1_000)
         heavy_policy = chunk_cost(cells, [1], records=1_000)
@@ -298,13 +308,11 @@ class TestCostAwareScheduling:
     def test_skewed_grid_parallel_matches_serial(self):
         # one workload has a 5x window and the heavyweight policy — the
         # costliest-first dispatch must not perturb results or their order
-        from dataclasses import replace
-
         long_spec = replace(FAST, sim_instructions=15_000)
-        cells = [cell_for(by_name("hmmer"), FAST, policy=p)
+        cells = [cell_for(by_name("hmmer"), replace(FAST, policy=p))
                  for p in ("discard", "permit")]
-        cells += [cell_for(by_name("astar"), long_spec, policy="dripper")]
-        cells += [cell_for(by_name("mcf"), FAST, policy="discard")]
+        cells += [cell_for(by_name("astar"), replace(long_spec, policy="dripper"))]
+        cells += [cell_for(by_name("mcf"), replace(FAST, policy="discard"))]
         serial = run_cells(cells, jobs=1)
         parallel = run_cells(cells, jobs=2)
         assert [r.__dict__ for r in parallel] == [r.__dict__ for r in serial]
@@ -315,7 +323,7 @@ class TestSharedMemoryGrid:
 
     def test_shm_grid_matches_serial_without_leaks(self):
         cells = [
-            cell_for(by_name(w), FAST, policy=p)
+            cell_for(by_name(w), replace(FAST, policy=p))
             for w in ("astar", "hmmer")
             for p in ("discard", "dripper")
         ]
@@ -325,7 +333,7 @@ class TestSharedMemoryGrid:
         assert _children() == []
 
     def test_session_reuses_store_across_batches(self):
-        cells = [cell_for(by_name(w), FAST, policy=p)
+        cells = [cell_for(by_name(w), replace(FAST, policy=p))
                  for w in ("astar", "hmmer") for p in ("discard", "permit")]
         serial = run_cells(cells, jobs=1)
         with grid_session(2) as session:
@@ -344,18 +352,17 @@ class TestSharedMemoryGrid:
         assert shared == run_cells(cells, jobs=1)
 
     def test_qmm_mix_cores_match_serial(self):
-        # QMM cores run half-length windows; pool workers run the packed mix
-        # loop, which must equal the serial generator mix loop core for core
-        from dataclasses import replace
-
+        # QMM cores run half-length windows; the pooled packed mix loop must
+        # equal the serial generator mix loop core for core
         from repro.experiments.parallel import mix_cell_for, run_mix_cells
 
-        spec = replace(FAST, packed=False)
-        cells = [mix_cell_for(_workloads(("qmm_int_13", "astar")), spec,
-                              policy=p, mix_id=0)
-                 for p in ("discard", "permit")]
-        serial = run_mix_cells(cells, jobs=1)
-        pooled = run_mix_cells(cells, jobs=2)
+        def cells(packed):
+            return [mix_cell_for(_workloads(("qmm_int_13", "astar")),
+                                 replace(FAST, policy=p, packed=packed), mix_id=0)
+                    for p in ("discard", "permit")]
+
+        serial = run_mix_cells(cells(packed=False), jobs=1)
+        pooled = run_mix_cells(cells(packed=True), jobs=2)
         assert pooled == serial
         assert all(r.instructions > 0 for mix in pooled for r in mix.results)
 
@@ -369,7 +376,7 @@ class TestSharedMemoryGrid:
     def test_persistent_session_journal_not_double_counted(self, tmp_path):
         journal = tmp_path / "runs.jsonl"
         obs = Observability(journal=RunJournal(journal))
-        cells = [cell_for(by_name(w), FAST, policy=p)
+        cells = [cell_for(by_name(w), replace(FAST, policy=p))
                  for w in ("astar", "hmmer") for p in ("discard", "permit")]
         with grid_session(2):
             run_cells(cells, jobs=2, obs=obs)
@@ -385,7 +392,7 @@ class TestNoProcessOutlivesGrid:
     """A finished grid leaves no child process behind (workers, helpers)."""
 
     def test_run_cells_leaves_no_child(self):
-        cells = [cell_for(w, FAST, policy=p) for w in _workloads(("astar", "hmmer"))
+        cells = [cell_for(w, replace(FAST, policy=p)) for w in _workloads(("astar", "hmmer"))
                  for p in ("discard", "permit")]
         run_cells(cells, jobs=2)
         assert _children() == []
@@ -396,10 +403,22 @@ class TestNoProcessOutlivesGrid:
         workloads = _workloads(("astar", "hmmer"))
         with grid_session(2):
             run_cells([cell_for(w, FAST) for w in workloads], jobs=2)
-            run_mix_cells([mix_cell_for(workloads, FAST, policy=p, mix_id=0)
+            run_mix_cells([mix_cell_for(workloads, replace(FAST, policy=p), mix_id=0)
                            for p in ("discard", "permit")], jobs=2)
             assert _children() != []  # the session's workers are alive
         assert _children() == []
+
+
+class TestFailedBatchStops:
+    def test_failed_chunk_cancels_queued_chunks(self, tmp_path):
+        markers = [str(tmp_path / f"chunk-{i}") for i in range(16)]
+        # chunk 0 is the costliest, so it dispatches first
+        chunks = [([i], float(len(markers) - i)) for i in range(len(markers))]
+        with pytest.raises(RuntimeError, match="chunk 0 failed"):
+            _run_on_pool(markers, 2, chunks, _mark_chunk, lambda i, r: None, None, None)
+        ran = [m for m in markers if Path(m).exists()]
+        assert markers[0] in ran
+        assert len(ran) < len(markers) // 2, ran
 
 
 class TestFailedChunkTelemetry:
@@ -425,7 +444,7 @@ class TestFailedChunkTelemetry:
     def test_failed_batch_leaves_nothing_for_the_next(self, tmp_path):
         journal = tmp_path / "runs.jsonl"
         obs = Observability(journal=RunJournal(journal))
-        cells = [cell_for(by_name(w), FAST, policy=p)
+        cells = [cell_for(by_name(w), replace(FAST, policy=p))
                  for w in ("astar", "hmmer") for p in ("discard", "permit")]
         with grid_session(2):
             self._failing_batch(obs)
@@ -435,6 +454,14 @@ class TestFailedChunkTelemetry:
         assert obs.journal.records_written - written == 4
         assert obs.runs - runs == 4
         assert all("kind" not in r for r in read_journal(journal)[written:])
+
+    def test_mutation_shim_leaves_no_mutated_worker_in_the_session(self):
+        workloads = _workloads(("astar", "hmmer"))
+        with grid_session(2):
+            self._failing_batch()
+            clean = run_policies(workloads, ["discard", "permit"],
+                                 base_spec=self.VALIDATED, jobs=2)
+        assert clean == run_policies(workloads, ["discard", "permit"], base_spec=FAST)
 
     def test_failing_chunk_span_and_metrics_reach_the_parent(self):
         from repro.obs.metrics import get_metrics

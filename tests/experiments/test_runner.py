@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.core.features import FEATURES
 from repro.core.filter import PerceptronFilter
 from repro.core.policies import DiscardPgc, DiscardPtw, PermitPgc
+from repro.core.system_features import SYSTEM_FEATURES
 from repro.experiments.runner import ISO_STORAGE_BYTES, RunSpec, policy_factory, run_many
 from repro.workloads import by_name
 
@@ -33,6 +35,18 @@ class TestPolicyFactory:
             assert [f.name for f in policy.features] == features
             assert len(policy.sys_specs) == 1 - len(features)
 
+    def test_single_feature_for_every_registered_feature(self):
+        for name in [*FEATURES, *SYSTEM_FEATURES]:
+            policy = policy_factory(f"SINGLE:{name.upper()}", "berti")()
+            assert policy.name == f"single:{name}"
+        with pytest.raises(KeyError):
+            policy_factory("single:no such feature", "berti")
+
+    def test_feature_names_distinct_case_insensitively(self):
+        # single:<name> resolves case-insensitively, so no two may collide
+        names = [*FEATURES, *SYSTEM_FEATURES]
+        assert len({name.lower() for name in names}) == len(names)
+
     def test_fresh_instance_per_call(self):
         factory = policy_factory("dripper", "berti")
         assert factory() is not factory()
@@ -53,6 +67,8 @@ class TestRunSpec:
         assert qmm.warmup_instructions == 5_000
         assert qmm.sim_instructions == 15_000
         assert spec_w.warmup_instructions == 10_000
+        # base_config keeps the nominal window (simulate_mix halves per core)
+        assert spec.base_config().warmup_instructions == 10_000
 
     def test_iso_storage_flows_to_prefetcher(self):
         spec = RunSpec(policy="iso")

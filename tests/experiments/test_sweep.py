@@ -1,8 +1,11 @@
 """Parameter-sweep helpers."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro.experiments.runner import RunSpec
+from repro.experiments.metrics import geomean_speedup, speedup_percent
+from repro.experiments.runner import RunSpec, run_policies
 from repro.experiments.sweep import (
     dram_latency_transform,
     dtlb_size_transform,
@@ -65,3 +68,18 @@ class TestSweeps:
         workloads = [by_name("hmmer")]
         data = sweep_epoch_length(workloads, (512, 2048), base_spec=TINY_SPEC)
         assert set(data) == {512, 2048}
+
+
+class TestSweepIso:
+    def test_sweep_iso_matches_run_policies(self):
+        # a sweep's ISO cell is ISO: Permit with DRIPPER's storage budget
+        # handed to the prefetcher, exactly what run_policies runs
+        workloads = [by_name("bfs.web")]
+        spec = RunSpec(prefetcher="bop", warmup_instructions=2_000, sim_instructions=6_000)
+        swept = sweep_parameter(workloads, dram_latency_transform, (200,),
+                                policies=("iso",), base_spec=spec)
+        direct = run_policies(
+            workloads, ["discard", "iso"],
+            base_spec=replace(spec, params=dram_latency_transform(DEFAULT_PARAMS, 200)))
+        assert swept[200]["iso"] == speedup_percent(
+            geomean_speedup(direct["iso"], direct["discard"]))
