@@ -21,12 +21,14 @@ entire source trace and simply wrap.
 The overflow stream is memoised per workload identity
 (:class:`_OverflowTail`): regenerating prefix + tail is the dominant
 non-simulation cost of a cell, and the records are seed-deterministic, so
-later cells of the same mix replay cached tuples instead of re-running the
-source generator.
+later cells of the same mix replay the cached records instead of re-running
+the source generator.  The memo keeps them as the pack's four typed columns
+(22 B per record), not as per-record tuples.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import OrderedDict, deque
 from itertools import chain, islice
 from typing import TYPE_CHECKING, Iterator
@@ -61,30 +63,39 @@ class _OverflowTail:
     tail record, once per cell — and a mix study runs the same mix under
     several policies.  Records are deterministic per workload identity, so
     the tail is generated once per process and appended here; later cells
-    (and same-workload cores within a cell) replay the cached tuples.
+    (and same-workload cores within a cell) replay the cached records.
 
-    Consumers hold their own cursor into ``records``; whoever runs off the
-    cached end pulls the shared ``source`` forward and appends.  Steppers
-    are coroutines on one thread, so there is no append race — a consumer
-    only yields control *between* records.
+    The records live in four typed columns, the pack's own layout (pc and
+    vaddr ``u64``, flags ``u16``, gap ``u32``).  Consumers hold their own
+    cursor into them; whoever runs off the cached end pulls the shared
+    ``source`` forward and appends.  Steppers are coroutines on one thread,
+    so there is no append race — a consumer only yields control *between*
+    records.
     """
 
-    __slots__ = ("workload", "skip", "records", "source", "exhausted")
+    __slots__ = ("workload", "skip", "pcs", "vaddrs", "flags", "gaps",
+                 "source", "exhausted")
 
     def __init__(self, workload: "SyntheticWorkload", skip: int) -> None:
         self.workload = workload
         self.skip = skip
-        self.records: list["Record"] = []
+        self.pcs = array("Q")
+        self.vaddrs = array("Q")
+        self.flags = array("H")
+        self.gaps = array("I")
         #: created on first use so the prefix replay is deferred (and paid
         #: exactly once) — mirrors the lazy `_overflow_records` wrapper
         self.source: Iterator["Record"] | None = None
         self.exhausted = False
 
 
-#: per-entry cap on memoised tail records (32 B-per-field tuples; ~0.5 M
-#: records keeps the worst entry around tens of MB) — a replay running past
+#: per-entry cap on memoised tail records (22 B per record in the columns;
+#: ~0.5 M records keeps the worst entry near 11.5 MB) — a replay running past
 #: the cap falls back to a private regenerated stream
 _TAIL_RECORD_CAP = 1 << 19
+
+#: records per column slice a consumer copies to replay the cached span
+_SERVE_CHUNK = 4096
 
 #: FIFO-bounded cache: identity key -> _OverflowTail
 _TAIL_CACHE: OrderedDict[tuple, _OverflowTail] = OrderedDict()
@@ -130,13 +141,16 @@ def _tail_records(workload: "SyntheticWorkload", skip: int) -> Iterator["Record"
         _TAIL_CACHE[key] = tail
         while len(_TAIL_CACHE) > _TAIL_CACHE_CAPACITY:
             _TAIL_CACHE.popitem(last=False)
-    records = tail.records
+    pcs, vaddrs, flags, gaps = tail.pcs, tail.vaddrs, tail.flags, tail.gaps
     i = 0
     while True:
-        n = len(records)
+        n = len(pcs)
         while i < n:
-            yield records[i]
-            i += 1
+            # the cached span, zipped at C speed from column slices small
+            # enough that copying them costs no memory to speak of
+            j = min(n, i + _SERVE_CHUNK)
+            yield from zip(pcs[i:j], vaddrs[i:j], flags[i:j], gaps[i:j])
+            i = j
         if tail.exhausted:
             return
         if i >= _TAIL_RECORD_CAP:
@@ -149,7 +163,11 @@ def _tail_records(workload: "SyntheticWorkload", skip: int) -> Iterator["Record"
         except StopIteration:
             tail.exhausted = True
             return
-        records.append(rec)
+        pc, vaddr, flag, gap = rec
+        pcs.append(pc)
+        vaddrs.append(vaddr)
+        flags.append(flag)
+        gaps.append(gap)
         yield rec
         i += 1
 

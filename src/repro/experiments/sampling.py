@@ -11,7 +11,7 @@ SMARTS/SimPoint tradition adapted to the packed-column store:
    pack's derived columns (:class:`~repro.workloads.packed.PackIndex`):
    event-flag density, I-line-change rate, page/line-change rates (the
    page-cross-candidate proxy), load/store mix, branch/mispredict density,
-   and mean gap.  Pure numpy prefix-sum reductions — no simulation.
+   and mean gap.  Counts over the pack's 0/1 masks — no simulation.
 2. **Cluster** — the signature vectors are z-score normalised and clustered
    into at most ``phases`` phases by a deterministic seeded k-means (greedy
    farthest-point init, fixed iteration cap).  One *representative* interval
@@ -30,7 +30,7 @@ SMARTS/SimPoint tradition adapted to the packed-column store:
    per-instruction rates; instruction-weighted recombination yields a
    whole-trace :class:`~repro.cpu.simulator.SimResult` (ratio-of-sums IPC,
    scaled counters), and a percentile bootstrap over the interval population
-   (:func:`~repro.experiments.stats_ci.bootstrap_statistic`) puts a
+   (:func:`~repro.experiments.stats_ci.percentile_bootstrap`) puts a
    confidence interval on the reconstructed IPC
    (``SimResult.ipc_ci_lo/ipc_ci_hi``).
 
@@ -45,16 +45,18 @@ reproducible.
 
 from __future__ import annotations
 
+import math
+import random
+from bisect import bisect_left, bisect_right
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from time import perf_counter
 from typing import TYPE_CHECKING, Optional
 
 from repro.cpu.simulator import DRIVES
-from repro.experiments.stats_ci import BootstrapInterval, bootstrap_statistic
+from repro.experiments.stats_ci import BootstrapInterval, percentile_bootstrap
 from repro.obs.tracing import trace_span
 from repro.workloads.packed import PackedTrace, get_packed
-from repro.workloads.trace import BRANCH, MISPREDICT
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cpu.simulator import SimConfig, SimResult
@@ -62,7 +64,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.workloads.trace import Workload
 
 
-#: signature feature names, in matrix-column order (docs + introspection)
+#: signature feature names, in the order of each signature row (docs + introspection)
 SIGNATURE_FEATURES = (
     "event_density",
     "iline_change_rate",
@@ -164,145 +166,157 @@ def _measured_bounds(packed: PackedTrace, warmup: int, sim: int) -> tuple[int, i
     whose boundary first reaches ``warmup`` instructions and ends after the
     record whose boundary first spans ``sim`` measured instructions.
     """
-    import numpy as np
-
     cum = packed.index().cum
-    if not len(cum) or int(cum[-1]) < warmup + sim:
+    if not cum or cum[-1] < warmup + sim:
         raise ValueError(
-            f"packed trace {packed.name!r} covers {int(cum[-1]) if len(cum) else 0} "
+            f"packed trace {packed.name!r} covers {cum[-1] if cum else 0} "
             f"instructions, fewer than the {warmup}+{sim} sampling window")
-    m = int(np.searchsorted(cum, warmup, side="left"))
-    base = int(cum[m])
-    e = m + 1 + int(np.searchsorted(cum[m + 1:], base + sim, side="left"))
+    m = bisect_left(cum, warmup)
+    e = bisect_left(cum, cum[m] + sim, m + 1)
     return m + 1, e + 1
 
 
 def signatures(packed: PackedTrace, warmup: int, sim: int, intervals: int):
-    """Per-interval signature matrix plus interval bounds.
+    """Per-interval signature rows plus interval bounds.
 
-    Returns ``(features, starts, ends, inst)`` where ``features`` is an
-    ``(n, len(SIGNATURE_FEATURES))`` float64 matrix and the other three are
-    int64 arrays (record-space bounds and instruction spans).  Intervals
-    that end up empty in record space (possible only when an interval is
-    shorter than one record's gap) are dropped.  Pure numpy reductions over
-    the pack's derived columns — no simulation.
+    Returns ``(features, starts, ends, inst)``: ``features`` holds one row of
+    ``len(SIGNATURE_FEATURES)`` floats per interval, and the other three are
+    int lists (record-space bounds and instruction spans).  Intervals that
+    end up empty in record space (possible only when an interval is shorter
+    than one record's gap) are dropped.  Each rate is a count off the pack's
+    derived masks divided by the interval's record count — no simulation.
     """
-    import numpy as np
-
     idx = packed.index()
     cum = idx.cum
     first, last = _measured_bounds(packed, warmup, sim)
-    base = int(cum[first - 1])
-    span = int(cum[last - 1]) - base
+    base = cum[first - 1]
+    span = cum[last - 1] - base
 
     # interval edges in instruction space -> record space; each interval ends
     # after the record that crosses its instruction edge (same rule the drive
     # loop uses for the measurement stop), so interval k simulated alone
     # measures exactly the records profiled here
-    targets = base + (np.arange(1, intervals, dtype=np.int64) * span) // intervals
-    inner = np.searchsorted(cum, targets, side="left") + 1
-    bounds = np.concatenate(([first], inner, [last])).astype(np.int64)
-    bounds = np.maximum.accumulate(np.clip(bounds, first, last))
-    starts, ends = bounds[:-1], bounds[1:]
-    keep = ends > starts
-    starts, ends = starts[keep], ends[keep]
+    bounds = [first]
+    for k in range(1, intervals):
+        edge = bisect_left(cum, base + k * span // intervals) + 1
+        bounds.append(max(bounds[-1], min(edge, last)))
+    bounds.append(last)
+    spans = [(s, e) for s, e in zip(bounds, bounds[1:]) if e > s]
+    starts = [s for s, _ in spans]
+    ends = [e for _, e in spans]
+    inst = [cum[e - 1] - cum[s - 1] for s, e in spans]  # first >= 1
 
-    pre = np.concatenate(([0], cum))  # instructions strictly before record i
-    inst = pre[ends] - pre[starts]
-
-    fl = np.asarray(packed.columns()[2], dtype=np.int64)
-    vpage, vline = idx.vpage, idx.vline
-    pchange = np.empty(len(vpage), dtype=np.float64)
-    lchange = np.empty(len(vline), dtype=np.float64)
-    if len(vpage):
-        pchange[0] = 1.0
-        pchange[1:] = vpage[1:] != vpage[:-1]
-        lchange[0] = 1.0
-        lchange[1:] = vline[1:] != vline[:-1]
-
-    def _rate(col) -> "np.ndarray":
-        sums = np.concatenate(([0.0], np.cumsum(col, dtype=np.float64)))
-        return sums[ends] - sums[starts]
-
-    records = (ends - starts).astype(np.float64)
-    features = np.stack([
-        _rate(idx.event),
-        _rate(idx.change),
-        _rate(pchange),
-        _rate(lchange),
-        _rate(idx.isload),
-        _rate(idx.isstore),
-        _rate((fl & BRANCH) != 0),
-        _rate((fl & MISPREDICT) != 0),
-        inst.astype(np.float64),  # mean gap+1 after the per-record divide
-    ], axis=1) / records[:, None]
+    masks = (idx.event, idx.iline_change, idx.page_change, idx.line_change,
+             idx.load, idx.store, idx.branch, idx.mispredict)
+    features = [
+        # the last feature is the mean gap+1
+        [mask.count(1, s, e) / (e - s) for mask in masks] + [n / (e - s)]
+        for (s, e), n in zip(spans, inst)
+    ]
     return features, starts, ends, inst
 
 
-def _kmeans(features, k: int, seed: int):
+def _sum(values: list[float]) -> float:
+    """Sum of a short float row in the profile's fixed pairwise order.
+
+    Below 8 values it adds left to right; up to 128 it keeps 8 running
+    partials, folds them as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` and
+    adds the rest one by one — the order of the vectorised array reduction
+    the profile was first written with.  Float addition is not
+    associative, so keeping that order (and never builtin ``sum()``, which
+    compensates from Python 3.12) keeps every distance, hence every phase
+    plan and recorded result, bit-identical.
+    """
+    n = len(values)
+    total = 0.0
+    if n < 8:
+        for x in values:
+            total += x
+        return total
+    r = values[:8]
+    i = 8
+    while i + 8 <= n:
+        for j in range(8):
+            r[j] += values[i + j]
+        i += 8
+    total += ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for x in values[i:]:
+        total += x
+    return total
+
+
+def _dist2(a: list[float], b: list[float]) -> float:
+    """Squared Euclidean distance of two rows (summed by :func:`_sum`)."""
+    return _sum([(x - y) * (x - y) for x, y in zip(a, b)])
+
+
+def _column_means(rows: list[list[float]]) -> list[float]:
+    """Per-column means; each column is added from 0.0, row by row, in order."""
+    sums = [0.0] * len(rows[0])
+    for row in rows:
+        sums = [s + x for s, x in zip(sums, row)]
+    return [s / len(rows) for s in sums]
+
+
+def _kmeans(features: list[list[float]], k: int, seed: int):
     """Deterministic seeded k-means; returns (assignment, representatives).
 
     Init is greedy farthest-point (k-means++ without the randomised
     D²-weighting — fully deterministic given the seeded first pick), then
     plain Lloyd iterations with a fixed cap.  The representative of each
     cluster is the member closest to its centroid (lowest index on ties).
+    Every reduction keeps a fixed order (see :func:`_sum`).
     """
-    import numpy as np
-    import random
-
     n = len(features)
     k = min(k, n)
     # z-score normalise so no single feature dominates the distance metric
-    mean = features.mean(axis=0)
-    std = features.std(axis=0)
-    std[std == 0.0] = 1.0
-    z = (features - mean) / std
+    mean = _column_means(features)
+    var = _column_means([[(x - m) * (x - m) for x, m in zip(row, mean)]
+                         for row in features])
+    std = [math.sqrt(v) or 1.0 for v in var]
+    z = [[(x - m) / s for x, m, s in zip(row, mean, std)] for row in features]
 
     rng = random.Random(seed)
     centers = [rng.randrange(n)]
-    d2 = ((z - z[centers[0]]) ** 2).sum(axis=1)
+    d2 = [_dist2(row, z[centers[0]]) for row in z]
     while len(centers) < k:
-        far = int(np.argmax(d2))
+        far = max(range(n), key=d2.__getitem__)  # first index on ties
         if d2[far] == 0.0:
             break  # fewer distinct signatures than phases
         centers.append(far)
-        d2 = np.minimum(d2, ((z - z[far]) ** 2).sum(axis=1))
-    centroids = z[centers].copy()
+        d2 = [min(d, _dist2(row, z[far])) for d, row in zip(d2, z)]
+    centroids = [z[c] for c in centers]
 
-    assignment = np.zeros(n, dtype=np.int64)
-    for _ in range(32):
-        dist = ((z[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        new_assignment = np.argmin(dist, axis=1)
-        if np.array_equal(new_assignment, assignment) and _ > 0:
+    assignment = [0] * n
+    for it in range(32):
+        new_assignment = []
+        for row in z:
+            dist = [_dist2(row, c) for c in centroids]
+            new_assignment.append(min(range(len(dist)), key=dist.__getitem__))
+        if new_assignment == assignment and it > 0:
             break
         assignment = new_assignment
         for c in range(len(centroids)):
-            members = z[assignment == c]
-            if len(members):
-                centroids[c] = members.mean(axis=0)
+            members = [row for row, a in zip(z, assignment) if a == c]
+            if members:
+                centroids[c] = _column_means(members)
 
     # re-densify cluster ids in first-seen order (empty clusters vanish) so
     # phase numbering is stable and every phase has members
-    dist = ((z - centroids[assignment]) ** 2).sum(axis=1)
+    dist = [_dist2(row, centroids[a]) for row, a in zip(z, assignment)]
     remap: dict[int, int] = {}
-    dense = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        c = int(assignment[i])
-        if c not in remap:
-            remap[c] = len(remap)
-        dense[i] = remap[c]
+    for c in assignment:
+        remap.setdefault(c, len(remap))
     reps = [0] * len(remap)
     for c, new_c in remap.items():
-        member_idx = np.flatnonzero(assignment == c)
-        reps[new_c] = int(member_idx[np.argmin(dist[member_idx])])
-    return dense, reps
+        members = [i for i, a in enumerate(assignment) if a == c]
+        reps[new_c] = min(members, key=dist.__getitem__)
+    return [remap[c] for c in assignment], reps
 
 
 def plan_phases(packed: PackedTrace, warmup: int, sim: int,
                 sampling: SamplingConfig) -> PhasePlan:
     """Profile + cluster one pack's measured region into a :class:`PhasePlan`."""
-    import numpy as np
-
     with trace_span("sample-profile", workload=packed.name,
                     intervals=sampling.intervals):
         features, starts, ends, inst = signatures(
@@ -311,19 +325,19 @@ def plan_phases(packed: PackedTrace, warmup: int, sim: int,
 
     phases = []
     for c, rep in enumerate(reps):
-        members = tuple(int(i) for i in np.flatnonzero(assignment == c))
+        members = tuple(i for i, a in enumerate(assignment) if a == c)
         phases.append(Phase(
             representative=rep,
             members=members,
-            instructions=int(inst[list(members)].sum()),
+            instructions=sum(inst[i] for i in members),
         ))
     return PhasePlan(
-        starts=tuple(int(s) for s in starts),
-        ends=tuple(int(e) for e in ends),
-        instructions=tuple(int(i) for i in inst),
-        assignment=tuple(int(a) for a in assignment),
+        starts=tuple(starts),
+        ends=tuple(ends),
+        instructions=tuple(inst),
+        assignment=tuple(assignment),
         phases=tuple(phases),
-        total_instructions=int(inst.sum()),
+        total_instructions=sum(inst),
     )
 
 
@@ -362,14 +376,15 @@ def _run_stitched(workload_name: str, packed: PackedTrace, plan: PhasePlan,
     misses (its footprint never saturates the hierarchy the way the full
     run's does); stitching is what keeps the reconstructed IPC honest.
     """
-    import numpy as np
-
     from repro.cpu.fastpath import drive_packed
     from repro.cpu.simulator import build_engine, collect_result
 
     sampling = config.sampling
     cum = packed.index().cum
-    pre = np.concatenate(([0], cum))  # instructions strictly before record i
+
+    def pre(i: int) -> int:
+        """Instructions strictly before record ``i``."""
+        return cum[i - 1] if i else 0
 
     base_config = replace(config, sampling=None)
     engine = build_engine(base_config)
@@ -395,11 +410,11 @@ def _run_stitched(workload_name: str, packed: PackedTrace, plan: PhasePlan,
         start, end = plan.starts[rep], plan.ends[rep]
         inst = plan.instructions[rep]
 
-        prefix_target = int(round(inst * sampling.warmup_fraction))
-        p = int(np.searchsorted(pre, pre[start] - prefix_target,
-                                side="right")) - 1
+        # p: the last record boundary at or before the prefix target
+        target = pre(start) - int(round(inst * sampling.warmup_fraction))
+        p = bisect_right(cum, target) if target >= 0 else -1
         p = max(min(prev_end, start - 1), min(p, start - 1), 0)
-        sub_warm = int(pre[start] - pre[p])
+        sub_warm = pre(start) - pre(p)
 
         sub = _sub_pack(packed, p, end, warmup=sub_warm, sim=inst)
         # warm-up limits are absolute against the carried instruction counter
@@ -452,22 +467,26 @@ def reconstruct(plan: PhasePlan, rep_results: "list[SimResult]",
     from repro.cpu.simulator import SimResult
 
     sampling = config.sampling
-    per_interval = []  # (instructions, cycles) per kept interval
-    for i in range(plan.n_intervals):
-        rep = rep_results[plan.assignment[i]]
-        inst = plan.instructions[i]
-        per_interval.append((inst, inst * rep.cycles / rep.instructions))
+    insts = plan.instructions  # per kept interval
+    cycles = [inst * rep_results[phase].cycles / rep_results[phase].instructions
+              for inst, phase in zip(insts, plan.assignment)]
+    total_inst = sum(insts)
+    total_cycles = sum(cycles)
 
-    total_inst = sum(inst for inst, _ in per_interval)
-    total_cycles = sum(cycles for _, cycles in per_interval)
+    def _ratio(idx: list[int]) -> float:
+        # builtin sum() over the cycles, as always: its float rounding is
+        # part of the recorded CI bounds on every interpreter
+        resampled_cycles = sum(map(cycles.__getitem__, idx))
+        if not resampled_cycles:
+            return 0.0
+        return sum(map(insts.__getitem__, idx)) / resampled_cycles
 
-    def _ratio(pairs) -> float:
-        cycles = sum(c for _, c in pairs)
-        return sum(i for i, _ in pairs) / cycles if cycles else 0.0
-
-    ipc_ci = bootstrap_statistic(
-        per_interval, _ratio, confidence=sampling.confidence,
+    lo, hi = percentile_bootstrap(
+        len(insts), _ratio, confidence=sampling.confidence,
         resamples=sampling.resamples, seed=sampling.seed)
+    ipc_ci = BootstrapInterval(
+        total_inst / total_cycles if total_cycles else 0.0, lo, hi,
+        sampling.confidence)
 
     counts = {f: 0.0 for f in _COUNT_FIELDS}
     rates = {f: 0.0 for f in _RATE_FIELDS}

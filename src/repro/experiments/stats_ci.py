@@ -7,10 +7,14 @@ Two consumers share this layer:
   report ``geomean [lo, hi]`` instead of a bare number and test whether two
   policies' difference is resolvable at the sample size;
 * phase-sampled simulation (:mod:`repro.experiments.sampling`) reconstructs
-  whole-trace IPC from per-phase representatives — :func:`bootstrap_statistic`
-  resamples the interval population to put an interval around *any* derived
-  statistic (there the ratio-of-sums IPC), quantifying how much the
-  reconstruction could move under a different draw of intervals.
+  whole-trace IPC from per-phase representatives — :func:`percentile_bootstrap`
+  resamples the interval population (as index lists, so the caller can sum
+  its own columns) to put an interval around the ratio-of-sums IPC,
+  quantifying how much the reconstruction could move under a different
+  draw of intervals.
+
+Both go through :func:`percentile_bootstrap`, the one resampling loop;
+:func:`bootstrap_statistic` is its form for any statistic over a sample.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import islice, repeat
 from typing import Callable, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -70,6 +75,35 @@ class BootstrapInterval:
         return self.lo <= value <= self.hi
 
 
+def percentile_bootstrap(
+    n: int,
+    statistic: Callable[[list[int]], float],
+    *,
+    confidence: float = 0.95,
+    resamples: int = 2000,
+    seed: int = 0,
+) -> tuple[float, float]:
+    """Percentile bounds of ``statistic`` over seeded resamples of ``n`` indices.
+
+    Each of the ``resamples`` draws is a list of ``n`` indices into the
+    sample, with replacement — exactly the indices ``[rng.randrange(n) for
+    _ in range(n)]`` gives, resample after resample, with ``rng =
+    random.Random(seed)``.  CPython's ``randrange(n)`` draws
+    ``getrandbits(n.bit_length())`` until the value is below ``n``, so the
+    indices are one filtered stream of such draws, produced at C speed.
+    Returns ``(lo, hi)``, the two-sided ``confidence`` bounds of the sorted
+    statistics.
+    """
+    if resamples < 1:
+        raise ValueError(f"resamples must be >= 1, got {resamples}")
+    getrandbits = random.Random(seed).getrandbits
+    draws = filter(n.__gt__, map(getrandbits, repeat(n.bit_length())))
+    stats = sorted(statistic(list(islice(draws, n))) for _ in range(resamples))
+    alpha = (1.0 - confidence) / 2.0
+    return (stats[int(alpha * resamples)],
+            stats[min(resamples - 1, int((1.0 - alpha) * resamples))])
+
+
 def bootstrap_statistic(
     samples: Sequence[T],
     statistic: Callable[[Sequence[T]], float],
@@ -88,17 +122,9 @@ def bootstrap_statistic(
     """
     if not samples:
         raise ValueError("no samples to bootstrap")
-    if resamples < 1:
-        raise ValueError(f"resamples must be >= 1, got {resamples}")
-    rng = random.Random(seed)
-    n = len(samples)
-    stats = sorted(
-        statistic([samples[rng.randrange(n)] for _ in range(n)])
-        for _ in range(resamples)
-    )
-    alpha = (1.0 - confidence) / 2.0
-    lo = stats[int(alpha * resamples)]
-    hi = stats[min(resamples - 1, int((1.0 - alpha) * resamples))]
+    lo, hi = percentile_bootstrap(
+        len(samples), lambda idx: statistic([samples[i] for i in idx]),
+        confidence=confidence, resamples=resamples, seed=seed)
     return BootstrapInterval(statistic(samples), lo, hi, confidence)
 
 
@@ -118,15 +144,9 @@ def bootstrap_geomean(
         raise ValueError("no speedups to bootstrap")
     if any(s <= 0 for s in speedups):
         raise ValueError("speedups must be positive ratios")
-    rng = random.Random(seed)
-    n = len(speedups)
-    stats = sorted(
-        _geomean_pct([speedups[rng.randrange(n)] for _ in range(n)])
-        for _ in range(resamples)
-    )
-    alpha = (1.0 - confidence) / 2.0
-    lo = stats[int(alpha * resamples)]
-    hi = stats[min(resamples - 1, int((1.0 - alpha) * resamples))]
+    lo, hi = percentile_bootstrap(
+        len(speedups), lambda idx: _geomean_pct([speedups[i] for i in idx]),
+        confidence=confidence, resamples=resamples, seed=seed)
     return ConfidenceInterval(_geomean_pct(speedups), lo, hi, confidence)
 
 

@@ -25,9 +25,12 @@ under ``jobs>1``, in each worker that runs the workload's chunk.
 from __future__ import annotations
 
 import os
+import sys
 import weakref
 from array import array
 from collections import OrderedDict
+from itertools import accumulate, repeat
+from operator import add
 from typing import Callable, Iterator, Optional
 
 from repro.vm.address import VA_MASK
@@ -67,52 +70,103 @@ def _capacity_from_env() -> int:
 _CACHE_CAPACITY = _capacity_from_env()
 
 
+def _byte_table(test: Callable[[int], object]) -> bytes:
+    """``bytes.translate`` table mapping each byte to 1 where ``test`` holds, else 0."""
+    return bytes(1 if test(b) else 0 for b in range(256))
+
+
+def _le_bytes(col: array) -> bytes:
+    """A column's raw bytes in little-endian order, whatever the host's."""
+    if sys.byteorder == "big":
+        col = array(col.typecode, col)
+        col.byteswap()
+    return col.tobytes()
+
+
+def _bits(mask: bytes) -> int:
+    """A 0/1 byte mask as an int, one byte per record (OR-able in C)."""
+    return int.from_bytes(mask, "little")
+
+
+def _above(raw: bytes, width: int, shift: int) -> int:
+    """Bits of ``value >> shift != 0`` for little-endian ``width``-byte values.
+
+    Tests each byte plane (``raw[j::width]``) at C speed: the plane holding
+    bit ``shift`` under a mask of its bits at and above ``shift``, every
+    higher plane whole.
+    """
+    low = shift // 8
+    keep = (0xFF << (shift % 8)) & 0xFF
+    acc = _bits(raw[low::width].translate(_byte_table(lambda b: b & keep)))
+    nonzero = _byte_table(bool)
+    for j in range(low + 1, width):
+        acc |= _bits(raw[j::width].translate(nonzero))
+    return acc
+
+
+def _changed(raw: bytes, shift: int) -> bytes:
+    """0/1 mask of ``v[i] >> shift != v[i-1] >> shift`` over little-endian u64s.
+
+    Record 0 always counts as changed.  The XOR of every adjacent pair is
+    one big-int XOR of the column against itself shifted by a record.
+    """
+    n = len(raw) // 8
+    if n <= 1:
+        return b"\x01" * n
+    x = int.from_bytes(raw[8:], "little") ^ int.from_bytes(raw[:-8], "little")
+    return b"\x01" + _above(x.to_bytes(8 * (n - 1), "little"), 8, shift).to_bytes(
+        n - 1, "little")
+
+
 class PackIndex:
     """Derived per-record columns the phase-sampling profile reads.
 
-    Built once per pack (lazily, on the first sampled run) from the numpy
-    column views: interval boundaries come from the cumulative instruction
-    counts, and :func:`repro.experiments.sampling.signatures` reduces the
-    rest into per-interval rates — I-line runs from the pc column, page and
-    line changes from the vaddr column, the load/store mix, and an event
-    mask flagging records that leave the fused kernel's plain hit path by
-    their flags or gap alone (branches, forced mispredicts, dependent
-    loads, non-memory records, and gaps large enough to trigger
-    straight-line I-fetch).  All integer arrays are ``int64`` so downstream
-    arithmetic never hits numpy's uint64/int64 promotion rules.
+    Built once per pack (lazily, on the first sampled run) as stdlib
+    columns: ``cum``, an ``array('q')`` of the absolute instruction count
+    after each record (engines start at 0), and eight ``bytes`` 0/1 masks,
+    one byte per record, so a per-interval count is ``mask.count(1, s,
+    e)``.  :func:`repro.experiments.sampling.signatures` reduces them into
+    per-interval rates.  The masks: ``event`` flags records that leave the
+    fused kernel's plain hit path by their flags or gap alone (branches,
+    forced mispredicts, dependent loads, non-memory records, and gaps large
+    enough to trigger straight-line I-fetch); ``iline_change``,
+    ``page_change`` and ``line_change`` flag records whose pc I-line, data
+    page or data line differs from the previous record's (the first record
+    always changes: engines start with ``_last_iline = -1``); ``load``,
+    ``store``, ``branch`` and ``mispredict`` copy one flag bit each.
+
+    Every mask is built with whole-column byte operations (``translate``
+    over byte planes, XOR of adjacent records as one big int), never a
+    per-record Python loop: 16 B per record in all.
     """
 
-    __slots__ = ("cum", "iline", "change", "vpage", "vline", "event",
-                 "isload", "isstore")
+    __slots__ = ("cum", "event", "iline_change", "page_change", "line_change",
+                 "load", "store", "branch", "mispredict")
 
     def __init__(self, packed: "PackedTrace"):
-        import numpy as np
+        n = len(packed)
+        self.cum = array("q", accumulate(map(add, packed.gaps, repeat(1))))
+        # every defined flag bit is below 64, so the low byte of each u16
+        # flag decides them all (trace files may set higher bits)
+        low = _le_bytes(packed.flags)[0::2]
 
-        pcs, vaddrs, flags, gaps = packed.columns()
-        g = gaps.astype(np.int64)
-        fl = flags.astype(np.int64)
-        #: absolute instruction count after record i (engines start at 0)
-        self.cum = np.cumsum(1 + g)
-        self.iline = (pcs >> np.uint64(6)).astype(np.int64)
-        self.vpage = (vaddrs >> np.uint64(12)).astype(np.int64)
-        self.vline = (vaddrs >> np.uint64(6)).astype(np.int64)
-        #: record i starts a new I-line run (first record always does:
-        #: engines start with ``_last_iline = -1``)
-        change = np.empty(len(g), dtype=bool)
-        if len(change):
-            change[0] = True
-            change[1:] = self.iline[1:] != self.iline[:-1]
-        self.change = change
-        #: records that leave the plain hit path regardless of cache/TLB
-        #: state: branch/mispredict/dependent flags, non-memory records, and
-        #: gaps >= 16 (``(gap*4)>>6`` straight-line I-fetch)
+        def flag(test: Callable[[int], object]) -> bytes:
+            return low.translate(_byte_table(test))
+
         self.event = (
-            ((fl & (BRANCH | MISPREDICT | DEPENDS)) != 0)
-            | ((fl & (LOAD | STORE)) == 0)
-            | (g > 15)
-        )
-        self.isload = (fl & LOAD) != 0
-        self.isstore = (fl & STORE) != 0
+            _bits(flag(lambda b: b & (BRANCH | MISPREDICT | DEPENDS)
+                       or not b & (LOAD | STORE)))
+            | _above(_le_bytes(packed.gaps), 4, 4)  # gap >= 16
+        ).to_bytes(n, "little")
+        pcs = _le_bytes(packed.pcs)
+        vaddrs = _le_bytes(packed.vaddrs)
+        self.iline_change = _changed(pcs, 6)
+        self.page_change = _changed(vaddrs, 12)
+        self.line_change = _changed(vaddrs, 6)
+        self.load = flag(lambda b: b & LOAD)
+        self.store = flag(lambda b: b & STORE)
+        self.branch = flag(lambda b: b & BRANCH)
+        self.mispredict = flag(lambda b: b & MISPREDICT)
 
 
 def _narrowest(values: array) -> array:
@@ -186,7 +240,7 @@ class PackedTrace:
 
     __slots__ = ("name", "suite", "pcs", "vaddrs", "flags", "gaps",
                  "instructions", "warmup", "sim", "complete",
-                 "_views", "_index", "_streams")
+                 "_index", "_streams")
 
     def __init__(self, name: str, suite: str, pcs: array, vaddrs: array,
                  flags: array, gaps: array, *, warmup: int, sim: int,
@@ -205,8 +259,7 @@ class PackedTrace:
         #: False when the source trace ended before the window was covered
         #: (finite trace shorter than warm-up + measured region)
         self.complete = complete
-        #: lazily built numpy column views / sampling-profile index
-        self._views = None
+        #: lazily built sampling-profile index
         self._index = None
         #: lazily built prefetch-candidate streams, keyed by
         #: (prefetcher name, prefetcher extra storage bytes)
@@ -266,23 +319,6 @@ class PackedTrace:
         """Approximate buffer size in bytes (the four columns)."""
         return sum(col.itemsize * len(col)
                    for col in (self.pcs, self.vaddrs, self.flags, self.gaps))
-
-    def columns(self):
-        """Zero-copy numpy views over the four columns.
-
-        Works over any column exposing the buffer protocol.  Returned as
-        ``(pcs u64, vaddrs u64, flags u16, gaps u32)``, cached per pack.
-        """
-        if self._views is None:
-            import numpy as np
-
-            self._views = (
-                np.frombuffer(self.pcs, dtype=np.uint64),
-                np.frombuffer(self.vaddrs, dtype=np.uint64),
-                np.frombuffer(self.flags, dtype=np.uint16),
-                np.frombuffer(self.gaps, dtype=np.uint32),
-            )
-        return self._views
 
     def index(self) -> PackIndex:
         """The pack's :class:`PackIndex` (built once, cached)."""

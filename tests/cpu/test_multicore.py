@@ -1,5 +1,6 @@
 """Multi-core mix simulation."""
 
+from array import array
 from dataclasses import replace
 
 import pytest
@@ -304,7 +305,7 @@ class TestOverflowTailCache:
         assert list(islice(_tail_records(w, 100), 500)) == want
         assert len(_TAIL_CACHE) == 1
         (tail,) = _TAIL_CACHE.values()
-        assert len(tail.records) >= 500
+        assert len(tail.pcs) >= 500
         assert list(islice(_tail_records(w, 100), 500)) == want
         # a second consumer interleaved mid-stream stays consistent too
         a, b = _tail_records(w, 100), _tail_records(w, 100)
@@ -332,7 +333,26 @@ class TestOverflowTailCache:
         want = list(islice(fastpath_mix._overflow_iterator(w, 10), 40))
         assert list(islice(fastpath_mix._tail_records(w, 10), 40)) == want
         (tail,) = fastpath_mix._TAIL_CACHE.values()
-        assert len(tail.records) == 8
+        assert len(tail.pcs) == 8
+
+    def test_memo_holds_typed_columns(self):
+        # the memo keeps the pack's column layout, not per-record tuples,
+        # and serves the cached span record for record
+        from itertools import islice
+        from repro.cpu.fastpath_mix import (
+            _TAIL_CACHE, _overflow_iterator, _tail_records,
+        )
+        w = workload("columns", 23)
+        want = list(islice(_overflow_iterator(w, 50), 10_000))
+        assert list(islice(_tail_records(w, 50), 9000)) == want[:9000]
+        (tail,) = _TAIL_CACHE.values()
+        columns = (tail.pcs, tail.vaddrs, tail.flags, tail.gaps)
+        assert [type(c) for c in columns] == [array] * 4
+        assert [c.typecode for c in columns] == ["Q", "Q", "H", "I"]
+        assert list(zip(*columns)) == want[:len(tail.pcs)]
+        # a warm pass crosses several served slices, then extends the memo
+        assert list(islice(_tail_records(w, 50), 10_000)) == want
+        assert list(zip(*columns)) == want
 
     def test_mix_results_identical_with_warm_tails(self):
         mix = [workload(f"m{i}", i + 40) for i in range(3)] + [qmm_workload()]

@@ -1,6 +1,14 @@
 """Phase-sampled simulation: profiling, clustering, stitched runs, rebuild."""
 
-import numpy as np
+import hashlib
+import math
+import os
+import random
+import subprocess
+import sys
+from array import array
+from pathlib import Path
+
 import pytest
 
 from repro.cpu.simulator import SimConfig, simulate
@@ -18,7 +26,7 @@ from repro.experiments.sampling import (
 )
 from repro.obs.metrics import get_metrics
 from repro.validate import result_diff
-from repro.workloads.packed import get_packed
+from repro.workloads.packed import PackedTrace, get_packed
 from repro.workloads.registry import by_name
 
 WARM, SIM = 8_000, 60_000
@@ -64,39 +72,52 @@ class TestSignatures:
     def test_shape_and_partition(self):
         packed = get_packed(by_name("mcf"), WARM, SIM)
         features, starts, ends, inst = signatures(packed, WARM, SIM, 16)
-        assert features.shape == (len(starts), len(SIGNATURE_FEATURES))
-        assert np.all(np.isfinite(features))
+        assert len(features) == len(starts)
+        assert all(len(row) == len(SIGNATURE_FEATURES) for row in features)
+        assert all(math.isfinite(x) for row in features for x in row)
         # intervals tile the measured region exactly: contiguous in record
         # space and summing to the measured instruction span
         first, last = _measured_bounds(packed, WARM, SIM)
         assert starts[0] == first and ends[-1] == last
-        assert np.all(starts[1:] == ends[:-1])
+        assert starts[1:] == ends[:-1]
         cum = packed.index().cum
-        measured = int(cum[last - 1]) - int(cum[first - 1])
-        assert int(inst.sum()) == measured
+        measured = cum[last - 1] - cum[first - 1]
+        assert sum(inst) == measured
 
     def test_window_too_large_raises(self):
         packed = get_packed(by_name("mcf"), WARM, SIM)
         with pytest.raises(ValueError, match="fewer than"):
             signatures(packed, WARM, 10 * SIM, 16)
 
+    def test_flag_bits_above_the_low_byte_are_ignored(self):
+        # pack flags are u16 and a trace file may set undefined high bits;
+        # every profile mask reads only the defined (low-byte) flag bits
+        packed = get_packed(by_name("astar"), WARM, SIM)
+        wide = PackedTrace(
+            packed.name, packed.suite, packed.pcs, packed.vaddrs,
+            array("H", (f | 1 << 9 for f in packed.flags)), packed.gaps,
+            warmup=WARM, sim=SIM, instructions=packed.instructions,
+            complete=True)
+        assert signatures(wide, WARM, SIM, 16) == signatures(packed, WARM, SIM, 16)
+        assert plan_phases(wide, WARM, SIM, TOY) == plan_phases(packed, WARM, SIM, TOY)
+
 
 class TestKmeans:
     def test_deterministic_and_dense(self):
-        rng = np.random.default_rng(3)
-        features = rng.normal(size=(40, 5))
+        rng = random.Random(3)
+        features = [[rng.gauss(0.0, 1.0) for _ in range(5)] for _ in range(40)]
         a1, r1 = _kmeans(features, 4, seed=9)
         a2, r2 = _kmeans(features, 4, seed=9)
-        assert np.array_equal(a1, a2) and r1 == r2
+        assert a1 == a2 and r1 == r2
         # dense ids 0..k-1, every representative belongs to its cluster
-        assert sorted(set(int(c) for c in a1)) == list(range(len(r1)))
+        assert sorted(set(a1)) == list(range(len(r1)))
         for c, rep in enumerate(r1):
             assert a1[rep] == c
 
     def test_collapses_identical_signatures(self):
-        features = np.ones((10, 3))
+        features = [[1.0] * 3 for _ in range(10)]
         assignment, reps = _kmeans(features, 4, seed=0)
-        assert len(reps) == 1 and np.all(assignment == 0)
+        assert len(reps) == 1 and all(a == 0 for a in assignment)
 
 
 class TestPlanPhases:
@@ -115,6 +136,34 @@ class TestPlanPhases:
         packed = get_packed(by_name("mcf"), WARM, SIM)
         assert plan_phases(packed, WARM, SIM, TOY) == \
             plan_phases(packed, WARM, SIM, TOY)
+
+    # plans recorded from the original vectorised profile: (workload, warm-up,
+    # sim, config) -> (sha256 prefix of repr(starts), assignment digits,
+    # representatives); a change in float summation order shows up here
+    GOLDEN = [
+        ("astar", 10_000, 60_000, SamplingConfig(seed=0), "8017e1ab9947d34f",
+         "0123330141132235667577556555012330401232220200130330357767577755",
+         [44, 36, 43, 11, 8, 26, 56, 54]),
+        ("astar", 10_000, 60_000, SamplingConfig(seed=1), "8017e1ab9947d34f",
+         "0123330141132235667577556555012330401232220200130330357767577755",
+         [44, 36, 43, 11, 8, 26, 56, 54]),
+        ("omnetpp", 10_000, 60_000, SamplingConfig(seed=0), "0686ee86df63266c",
+         "0123342033025236644323433303222423731451343274224236335703125342",
+         [10, 1, 13, 42, 17, 12, 15, 44]),
+        ("omnetpp", 10_000, 60_000, SamplingConfig(seed=1), "0686ee86df63266c",
+         "0122134021023425633342312201044322711331232273243425225701143232",
+         [56, 4, 63, 17, 59, 15, 16, 44]),
+        ("mcf", WARM, SIM, TOY, "8ea46392cc59054d", "0110233021022212",
+         [7, 14, 12, 6]),
+    ]
+
+    @pytest.mark.parametrize("name,warm,sim,sampling,starts,assignment,reps", GOLDEN)
+    def test_matches_recorded_plan(self, name, warm, sim, sampling, starts,
+                                   assignment, reps):
+        plan = plan_phases(get_packed(by_name(name), warm, sim), warm, sim, sampling)
+        assert hashlib.sha256(repr(plan.starts).encode()).hexdigest()[:16] == starts
+        assert "".join(map(str, plan.assignment)) == assignment
+        assert [p.representative for p in plan.phases] == reps
 
 
 class TestSimulateSampled:
@@ -147,6 +196,28 @@ class TestSimulateSampled:
     def test_requires_sampling_config(self):
         with pytest.raises(ValueError, match="config.sampling"):
             simulate_sampled(by_name("mcf"), _config(sampling=None))
+
+    def test_runs_without_numpy(self):
+        # the package has no runtime dependencies: a sampled run in a fresh
+        # interpreter leaves numpy unimported
+        code = (
+            "import sys\n"
+            "from repro.cpu.simulator import SimConfig, simulate\n"
+            "from repro.experiments.runner import policy_factory\n"
+            "from repro.experiments.sampling import SamplingConfig\n"
+            "from repro.workloads.registry import by_name\n"
+            "r = simulate(by_name('mcf'), SimConfig(\n"
+            "    warmup_instructions=2000, sim_instructions=12000, packed=True,\n"
+            "    policy_factory=policy_factory('dripper', 'berti'),\n"
+            "    sampling=SamplingConfig(intervals=8, phases=2)))\n"
+            "assert r.sampled_intervals == 8\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        src = Path(__file__).resolve().parents[2] / "src"
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(src)})
+        assert out.stdout.strip() == "False"
 
     def test_runspec_round_trip(self):
         result = run_many([by_name("mcf")], _spec())[0]

@@ -1,5 +1,7 @@
 """Bootstrap confidence intervals."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,6 +10,7 @@ from repro.experiments.stats_ci import (
     bootstrap_geomean,
     bootstrap_statistic,
     paired_difference_ci,
+    percentile_bootstrap,
 )
 
 speedup_lists = st.lists(st.floats(min_value=0.5, max_value=2.0), min_size=3, max_size=30)
@@ -133,3 +136,31 @@ class TestBootstrapStatistic:
         assert ci.rel_width() == pytest.approx(0.4)
         assert ci.contains(0.4) and ci.contains(0.6) and not ci.contains(0.61)
         assert BootstrapInterval(0.0, 0.0, 0.0, 0.95).rel_width() == 0.0
+
+
+class TestPercentileBootstrap:
+    @pytest.mark.parametrize("n,seed,resamples", [
+        (1, 0, 50), (2, 3, 40), (7, 1, 300), (64, 0, 200), (64, 5, 3),
+        (100, 2, 60), (1000, 9, 5),
+    ])
+    def test_draws_match_randrange(self, n, seed, resamples):
+        # the index draws are the ones a plain randrange loop makes, so every
+        # recorded bootstrap interval keeps its bounds
+        rng = random.Random(seed)
+        want = [[rng.randrange(n) for _ in range(n)] for _ in range(resamples)]
+        seen = []
+
+        def record(idx):
+            seen.append(list(idx))
+            return float(len(seen))
+
+        lo, hi = percentile_bootstrap(n, record, confidence=0.9,
+                                      resamples=resamples, seed=seed)
+        assert seen == want
+        alpha = (1.0 - 0.9) / 2.0
+        assert lo == 1.0 + int(alpha * resamples)
+        assert hi == 1.0 + min(resamples - 1, int((1.0 - alpha) * resamples))
+
+    def test_rejects_bad_resamples(self):
+        with pytest.raises(ValueError):
+            percentile_bootstrap(4, len, resamples=0)

@@ -1,6 +1,8 @@
 """Packed trace buffers: generator equality, window sizing, caching, replay."""
 
 import gc
+import random
+from array import array
 from dataclasses import replace
 
 import pytest
@@ -18,6 +20,7 @@ from repro.workloads.packed import (
     pack_cache_stats,
 )
 from repro.workloads import packed as packed_module
+from repro.workloads.trace import BRANCH, DEPENDS, LOAD, MISPREDICT, STORE
 from repro.workloads.trace_io import FileWorkload, snapshot_workload
 
 
@@ -81,6 +84,58 @@ class TestPackedTrace:
         w = FileWorkload(path)
         packed = PackedTrace.from_workload(w, 500, 2_000)
         assert list(packed.records()) == list(w.generate())[: len(packed)]
+
+
+class TestPackIndex:
+    """The byte-plane masks equal a plain per-record loop over the columns."""
+
+    @staticmethod
+    def reference(packed):
+        cum, total, masks = [], 0, {k: [] for k in (
+            "event", "iline_change", "page_change", "line_change",
+            "load", "store", "branch", "mispredict")}
+        prev_pc = prev_va = None
+        for pc, va, fl, gap in packed.records():
+            total += 1 + gap
+            cum.append(total)
+            row = {
+                "event": bool(fl & (BRANCH | MISPREDICT | DEPENDS))
+                or not fl & (LOAD | STORE) or gap > 15,
+                "iline_change": prev_pc is None or pc >> 6 != prev_pc >> 6,
+                "page_change": prev_va is None or va >> 12 != prev_va >> 12,
+                "line_change": prev_va is None or va >> 6 != prev_va >> 6,
+                "load": fl & LOAD, "store": fl & STORE,
+                "branch": fl & BRANCH, "mispredict": fl & MISPREDICT,
+            }
+            for key, value in row.items():
+                masks[key].append(1 if value else 0)
+            prev_pc, prev_va = pc, va
+        return cum, {k: bytes(v) for k, v in masks.items()}
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 1000])
+    def test_masks_match_loop(self, n):
+        rng = random.Random(n)
+        wide = lambda: rng.getrandbits(rng.choice([3, 7, 13, 20, 40, 64]))
+        packed = PackedTrace(
+            "random", "TEST",
+            array("Q", (wide() for _ in range(n))),
+            array("Q", (wide() for _ in range(n))),
+            array("H", (rng.getrandbits(16) for _ in range(n))),
+            array("I", (rng.choice([0, 15, 16, 255, 256, 2**32 - 1])
+                        for _ in range(n))),
+            warmup=0, sim=0, instructions=0, complete=True)
+        cum, masks = self.reference(packed)
+        idx = packed.index()
+        assert list(idx.cum) == cum
+        for key, mask in masks.items():
+            assert getattr(idx, key) == mask, key
+
+    def test_masks_match_loop_on_a_workload(self):
+        packed = PackedTrace.from_workload(by_name("astar"), 2_000, 6_000)
+        cum, masks = self.reference(packed)
+        idx = packed.index()
+        assert list(idx.cum) == cum
+        assert {k: getattr(idx, k) for k in masks} == masks
 
 
 class SlottedWorkload:
