@@ -69,13 +69,7 @@ class PolicyEnsemble(PageCrossPolicy):
         #: the live members' records from the last decide(), held until that
         #: candidate's on_issued/on_discarded (None: no decide is pending)
         self._pending: Optional[list[Optional[TrainingRecord]]] = None
-        self._refresh()
-
-    def _refresh(self) -> None:
-        self._live_members = [self.members[k] for k in self.live]
-        # the in-flight recount only reads engine state, so it may run for
-        # members that ignore it
-        self.wants_inflight_feature = any(m.wants_inflight_feature for m in self._live_members)
+        self._live_members = list(self.members)
 
     def _records(self) -> list[Optional[TrainingRecord]]:
         records = self._pending
@@ -93,7 +87,7 @@ class PolicyEnsemble(PageCrossPolicy):
             self.dropped.extend(p for p, ok in zip(self.live, agrees) if not ok)
             self.live = [p for p, ok in zip(self.live, agrees) if ok]
             decisions = [d for d, ok in zip(decisions, agrees) if ok]
-            self._refresh()
+            self._live_members = [self.members[k] for k in self.live]
         self._pending = [d.record for d in decisions]
         return Decision(issue)
 

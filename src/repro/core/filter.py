@@ -73,6 +73,14 @@ class PerceptronFilter(PageCrossPolicy):
         self.sys_weights: dict[str, SaturatingCounter] = {
             spec.name: SaturatingCounter(config.weight_bits) for spec in self.sys_specs
         }
+        # each decide stage, resolved once: (index, weights, index_bits) per
+        # program feature, and (name, getter, compare, threshold, weight) per
+        # system feature
+        self._stages = [(feature.index, table.weights, table.index_bits)
+                        for feature, table in zip(self.features, self.tables)]
+        self._gates = [(spec.name, *spec.gate(config.system_thresholds.get(spec.name)),
+                        self.sys_weights[spec.name])
+                       for spec in self.sys_specs]
         self.vub = UpdateBuffer(config.vub_entries)
         self.pub = UpdateBuffer(config.pub_entries)
         if config.adaptive:
@@ -93,17 +101,16 @@ class PerceptronFilter(PageCrossPolicy):
         # stage 1: extract features, hash, read weights
         indexes: list[int] = []
         total = 0
-        for feature, table in zip(self.features, self.tables):
-            idx = feature.index(req, ctx, table.index_bits)
+        for index, weights, index_bits in self._stages:
+            idx = index(req, ctx, index_bits)
             indexes.append(idx)
-            total += table.weights[idx]
+            total += weights[idx]
         # stage 2: gate system-feature weights on the system state
         active: list[str] = []
-        overrides = self.config.system_thresholds
-        for spec in self.sys_specs:
-            if spec.active(state, overrides.get(spec.name)):
-                total += self.sys_weights[spec.name].value
-                active.append(spec.name)
+        for name, getter, compare, threshold, weight in self._gates:
+            if compare(getter(state), threshold):
+                total += weight.value
+                active.append(name)
         # stages 3+4: compare the cumulative weight with the threshold
         issue = total > self.threshold.effective(state)
         if issue:

@@ -29,16 +29,17 @@ class Decision:
 
 
 class PageCrossPolicy:
-    """Base class: decide + training hooks (all hooks default to no-ops)."""
+    """Base class: decide + training hooks (all hooks default to no-ops).
+
+    ``decide`` reads the engine's :class:`SystemState`, whose
+    ``l1d_inflight_misses`` is counted only when read, so a policy that
+    ignores it pays nothing for it.
+    """
 
     name = "base"
     #: when True the simulator discards the request if its translation is not
     #: already TLB resident instead of starting a speculative walk
     requires_translation_hit = False
-    #: when True the simulator refreshes ``state.l1d_inflight_misses`` before
-    #: every decide() call; policies whose decision ignores system state opt
-    #: out so the engine can skip the (linear) in-flight recount
-    wants_inflight_feature = True
 
     def decide(self, req: PrefetchRequest, ctx: FeatureContext, state: SystemState) -> Decision:
         """Should this page-cross prefetch be issued?"""
@@ -73,7 +74,6 @@ class PermitPgc(PageCrossPolicy):
     """Always permit page-cross prefetches (Permit PGC)."""
 
     name = "permit-pgc"
-    wants_inflight_feature = False
 
     def decide(self, req: PrefetchRequest, ctx: FeatureContext, state: SystemState) -> Decision:
         """Always issue."""
@@ -84,7 +84,6 @@ class DiscardPgc(PageCrossPolicy):
     """Always discard page-cross prefetches (Discard PGC, the baseline)."""
 
     name = "discard-pgc"
-    wants_inflight_feature = False
 
     def decide(self, req: PrefetchRequest, ctx: FeatureContext, state: SystemState) -> Decision:
         """Always discard."""
@@ -96,7 +95,6 @@ class DiscardPtw(PageCrossPolicy):
 
     name = "discard-ptw"
     requires_translation_hit = True
-    wants_inflight_feature = False
 
     def decide(self, req: PrefetchRequest, ctx: FeatureContext, state: SystemState) -> Decision:
         """Issue; the engine discards it on a TLB miss instead of walking."""

@@ -10,6 +10,7 @@ while the sTLB is under pressure" — that program features cannot express.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import gt, lt
 from typing import Callable
 
 from repro.core.system_state import SystemState
@@ -27,11 +28,20 @@ class SystemFeatureSpec:
     direction: str
     default_threshold: float
 
+    def gate(self, threshold: float | None = None
+             ) -> tuple[Getter, Callable[[float, float], bool], float]:
+        """``(getter, compare, threshold)``: active while ``compare(getter(state), threshold)``.
+
+        ``threshold=None`` keeps the default.  A filter resolves its gates
+        once and evaluates them per decision.
+        """
+        return (self.getter, lt if self.direction == "<" else gt,
+                self.default_threshold if threshold is None else threshold)
+
     def active(self, state: SystemState, threshold: float | None = None) -> bool:
         """Whether this feature's weight joins the cumulative sum right now."""
-        t = self.default_threshold if threshold is None else threshold
-        value = self.getter(state)
-        return value < t if self.direction == "<" else value > t
+        getter, compare, t = self.gate(threshold)
+        return compare(getter(state), t)
 
 
 # Directions follow Section III-E's rationale: MPKI features target phases of

@@ -131,7 +131,7 @@ class CoreEngine:
         hierarchy.l1d.listener = _PolicyListener(policy)
 
         self.fctx = FeatureContext()
-        self.system_state = SystemState()
+        self.system_state = SystemState(in_flight=hierarchy.l1d.in_flight_misses)
         self.pgc = PgcStats()
 
         core = params.core
@@ -222,10 +222,9 @@ class CoreEngine:
     def _dispatch_prefetches(self, requests, trigger_vaddr: int, trigger_tr: Translation, t: float, pc: int) -> None:
         """Route prefetch candidates through steps A-D of Figure 5.
 
-        Split from :meth:`_handle_prefetches` so the batched drive loop
-        (:func:`repro.cpu.fastpath.drive_packed`) can invoke the prefetcher
-        through its cached seam and only pay this dispatch when the access
-        actually produced candidates.
+        The one page-cross decision path: the generator loop and the fused
+        record kernel (:func:`repro.cpu.fastpath.core_stepper`) both call it,
+        the kernel only when an access produced candidates.
         """
         trigger_page = trigger_vaddr >> PAGE_4K_SHIFT  # profile: prefetcher
         native_shift = trigger_tr.page_shift
@@ -240,6 +239,7 @@ class CoreEngine:
         tr_off_mask = trigger_tr.page_bytes - 1
         trigger_native_vpn = trigger_vaddr >> native_shift
         filter_native = getattr(policy, "filter_at_native_boundary", False)
+        state = self.system_state
         for req in requests:
             target = req.vaddr & VA_MASK
             req.vaddr = target
@@ -258,9 +258,8 @@ class CoreEngine:
                 pgc.same_translation += 1
             filter_this = not (same_translation and filter_native)
             if filter_this:
-                if policy.wants_inflight_feature:
-                    self.system_state.l1d_inflight_misses = self.hierarchy.l1d.in_flight_misses(t)
-                decision = self._policy_decide(req, self.fctx, self.system_state)
+                state.now = t
+                decision = self._policy_decide(req, self.fctx, state)
                 if not decision.issue:
                     pgc.discarded += 1
                     policy.on_discarded(target >> LINE_SHIFT, decision.record)
@@ -280,10 +279,10 @@ class CoreEngine:
                     if tr is not None:
                         trans_lat += self.stlb.latency
                 if tr is None:
-                    if self.policy.requires_translation_hit:
-                        self.pgc.discarded += 1  # profile: pgc-filter
-                        self.pgc.discarded_no_translation += 1
-                        self.policy.on_discarded(target >> LINE_SHIFT, record)
+                    if policy.requires_translation_hit:
+                        pgc.discarded += 1  # profile: pgc-filter
+                        pgc.discarded_no_translation += 1
+                        policy.on_discarded(target >> LINE_SHIFT, record)
                         continue
                     walk = self._walk(target, t + trans_lat, speculative=True)  # profile: dtlb+walks
                     trans_lat += walk.latency
@@ -291,9 +290,9 @@ class CoreEngine:
                     self.stlb.insert(tr, from_prefetch=True)
                     self.dtlb.insert(tr, from_prefetch=True)
                 paddr = tr.physical(target)
-            self.pgc.issued += 1  # profile: prefetcher
-            self.hierarchy.prefetch_l1d(paddr, t + trans_lat, pcb=True)
-            self.policy.on_issued(paddr >> LINE_SHIFT, record)  # profile: pgc-filter
+            pgc.issued += 1  # profile: prefetcher
+            prefetch_l1d(paddr, t + trans_lat, pcb=True)
+            policy.on_issued(paddr >> LINE_SHIFT, record)  # profile: pgc-filter
 
     # ------------------------------------------------------------------
     # main per-record step

@@ -20,13 +20,9 @@ Anything else falls back to the unmodified slow machinery:
   counts the miss exactly once);
 * cache misses — and every access when a cache's replacement policy is not
   plain-LRU-on-hit — call the hierarchy's ``load``/``store``/``ifetch``;
-* prefetch candidates dispatch through a fused replica of
-  ``CoreEngine._dispatch_prefetches`` with the stock
-  :class:`~repro.core.filter.PerceptronFilter` decision inlined (weight
-  reads, system-feature gating, threshold compare) and the in-flight-miss
-  recount made lazy — see :func:`_make_fused_dispatch`; any policy,
-  threshold, or seam the replica was not built for falls back to the
-  engine's dispatch unchanged;
+* prefetch candidates dispatch through the engine's
+  ``CoreEngine._dispatch_prefetches``, the one page-cross decision path,
+  called only when an access produced candidates;
 * a replayable prefetcher's candidates may come from the pack's recorded
   :class:`~repro.workloads.packed.PrefetchStream` instead of the live
   prefetcher (``stream=``, passed only by :func:`repro.cpu.simulator.simulate`
@@ -87,15 +83,12 @@ from time import perf_counter
 from typing import Iterable, Optional
 
 from repro.core.context import PrefetchRequest
-from repro.core.filter import PerceptronFilter
-from repro.core.thresholds import AdaptiveThreshold, StaticThreshold
-from repro.core.update_buffers import TrainingRecord
 from repro.cpu.branch import DEFAULT_HISTORY_LENGTHS, HashedPerceptronBranchPredictor
 from repro.cpu.core import CoreEngine
 from repro.cpu.simulator import count_drive, raise_if_truncated
 from repro.mem.replacement import LruPolicy
 from repro.prefetch.next_line import NextLinePrefetcher
-from repro.vm.address import LINE_SHIFT, PAGE_4K_SHIFT, PAGE_2M_SHIFT, VA_MASK
+from repro.vm.address import LINE_SHIFT, PAGE_4K_SHIFT, PAGE_2M_SHIFT
 from repro.vm.page_table import Translation
 from repro.workloads.packed import PackedTrace, PrefetchStream
 from repro.workloads.trace import BRANCH, DEPENDS, LOAD, MISPREDICT, STORE, TAKEN, Record
@@ -118,162 +111,6 @@ def _lru_fusible(cache) -> bool:
     """
     policy = cache._policy
     return isinstance(policy, LruPolicy) and type(policy).on_hit is LruPolicy.on_hit
-
-
-def _make_fused_dispatch(engine: CoreEngine):
-    """A fused replica of :meth:`CoreEngine._dispatch_prefetches`, or None.
-
-    Inlines the stock :class:`PerceptronFilter` decision — stage-1 weight
-    reads, stage-2 system-feature gating, stage-3/4 threshold compare — and
-    makes the in-flight-miss recount *lazy*: ``state.l1d_inflight_misses``
-    is consumed solely by :meth:`AdaptiveThreshold.effective`'s ROB-pressure
-    override, and only after ``rob_stall_fraction`` clears its gate, so the
-    O(outstanding) MSHR scan runs exactly when that first condition holds
-    instead of eagerly before every decision.  Every counter, statistic, and
-    training event is replicated statement-for-statement, so a fused run is
-    bit-identical to the engine's dispatch.
-
-    Returns None — keeping the engine's dispatch — whenever an assumption
-    might not hold: a policy that is not a plain ``PerceptronFilter``
-    (Permit/Discard/DiscardPtw, subclasses overriding ``decide``), an
-    instance-patched ``decide`` or engine seam, or a threshold that is not
-    exactly ``StaticThreshold``/``AdaptiveThreshold``.
-    """
-    policy = engine.policy
-    if not isinstance(policy, PerceptronFilter):
-        return None
-    if type(policy).decide is not PerceptronFilter.decide:
-        return None
-    seam = engine._policy_decide
-    if (getattr(seam, "__func__", None) is not PerceptronFilter.decide
-            or getattr(seam, "__self__", None) is not policy):
-        return None
-    threshold = policy.threshold
-    adaptive = type(threshold) is AdaptiveThreshold
-    if not adaptive and type(threshold) is not StaticThreshold:
-        return None
-
-    h = engine.hierarchy
-    l1d = h.l1d
-    l1d_sets, l1d_set_mask = l1d._sets, l1d._set_mask
-    prefetch_l1d = h.prefetch_l1d
-    in_flight = l1d.in_flight_misses
-    pgc = engine.pgc
-    state = engine.system_state
-    fctx = engine.fctx
-    dtlb, stlb = engine.dtlb, engine.stlb
-    dtlb_lookup, stlb_lookup = dtlb.lookup, stlb.lookup
-    dtlb_insert, stlb_insert = dtlb.insert, stlb.insert
-    dtlb_lat_f = float(dtlb.latency)
-    stlb_lat = stlb.latency
-    walk_fn = engine._walk
-    on_discarded, on_issued = policy.on_discarded, policy.on_issued
-    filter_native = getattr(policy, "filter_at_native_boundary", False)
-    requires_hit = policy.requires_translation_hit
-    lazy_inflight = adaptive and policy.wants_inflight_feature
-    rob_gate = threshold.config.rob_stall_high if adaptive else 0.0
-    effective = threshold.effective
-    feats = [(feature.index, table.weights, table.index_bits)
-             for feature, table in zip(policy.features, policy.tables)]
-    single = feats[0] if len(feats) == 1 else None
-    overrides = policy.config.system_thresholds
-    gates = [
-        (spec.name, spec.getter, spec.direction == "<",
-         spec.default_threshold if overrides.get(spec.name) is None
-         else overrides[spec.name],
-         policy.sys_weights[spec.name])
-        for spec in policy.sys_specs
-    ]
-    LS = LINE_SHIFT
-    S4 = PAGE_4K_SHIFT
-
-    def dispatch(requests, trigger_vaddr, trigger_tr, t, pc):
-        trigger_page = trigger_vaddr >> S4  # profile: prefetcher
-        native_shift = trigger_tr.page_shift
-        tr_base = trigger_tr.pfn << native_shift
-        tr_off_mask = trigger_tr.page_bytes - 1
-        trigger_native_vpn = trigger_vaddr >> native_shift
-        for req in requests:
-            target = req.vaddr & VA_MASK
-            req.vaddr = target
-            if (target >> S4) == trigger_page:
-                # in-page prefetch: same frame, no policy involvement
-                paddr = tr_base | (target & tr_off_mask)
-                pline = paddr >> LS
-                if l1d_sets[pline & l1d_set_mask].get(pline) is None:
-                    prefetch_l1d(paddr, t)
-                continue
-            pgc.candidates += 1  # profile: pgc-filter
-            same_translation = (target >> native_shift) == trigger_native_vpn
-            if same_translation:
-                pgc.same_translation += 1
-            if same_translation and filter_native:
-                record = None
-            else:
-                # fused PerceptronFilter.decide (Figure 6, stages 1-4)
-                policy.predictions += 1
-                if single is not None:
-                    idx = single[0](req, fctx, single[2])
-                    total = single[1][idx]
-                    indexes = (idx,)
-                else:
-                    ilist = []
-                    total = 0
-                    for f_index, weights, index_bits in feats:
-                        idx = f_index(req, fctx, index_bits)
-                        ilist.append(idx)
-                        total += weights[idx]
-                    indexes = tuple(ilist)
-                active: list = []
-                for g_name, g_getter, g_lt, g_thr, g_counter in gates:
-                    value = g_getter(state)
-                    if (value < g_thr) if g_lt else (value > g_thr):
-                        total += g_counter.value
-                        active.append(g_name)
-                if adaptive:
-                    # AdaptiveThreshold.effective is *called* (it mutates
-                    # disable_events on the LLC-disable path); only the
-                    # in-flight recount it may read is refreshed lazily
-                    if lazy_inflight and state.rob_stall_fraction > rob_gate:
-                        state.l1d_inflight_misses = in_flight(t)
-                    eff = effective(state)
-                else:
-                    eff = threshold.value
-                record = TrainingRecord(indexes, tuple(active))
-                if total > eff:
-                    policy.permits += 1
-                else:
-                    pgc.discarded += 1
-                    on_discarded(target >> LS, record)
-                    continue
-            if same_translation:  # profile: dtlb+walks
-                # 4KB-cross within a 2MB page: translation already in hand
-                paddr = tr_base | (target & tr_off_mask)
-                trans_lat = 0.0
-            else:
-                tr = dtlb_lookup(target, speculative=True)
-                trans_lat = dtlb_lat_f
-                if tr is None:
-                    tr = stlb_lookup(target, speculative=True)
-                    if tr is not None:
-                        trans_lat += stlb_lat
-                if tr is None:
-                    if requires_hit:
-                        pgc.discarded += 1  # profile: pgc-filter
-                        pgc.discarded_no_translation += 1
-                        on_discarded(target >> LS, record)
-                        continue
-                    walk = walk_fn(target, t + trans_lat, speculative=True)  # profile: dtlb+walks
-                    trans_lat += walk.latency
-                    tr = walk.translation
-                    stlb_insert(tr, from_prefetch=True)
-                    dtlb_insert(tr, from_prefetch=True)
-                paddr = tr.physical(target)
-            pgc.issued += 1  # profile: prefetcher
-            prefetch_l1d(paddr, t + trans_lat, pcb=True)
-            on_issued(paddr >> LS, record)  # profile: pgc-filter
-
-    return dispatch
 
 
 def core_stepper(engine: CoreEngine, records: Iterable[Record], warm_limit: int,
@@ -313,7 +150,7 @@ def core_stepper(engine: CoreEngine, records: Iterable[Record], warm_limit: int,
     translate_instr = engine._translate_instruction
     mem_load, mem_store, mem_ifetch = engine._mem_load, engine._mem_store, engine._mem_ifetch
     pf_on_access = engine._pf_on_access
-    dispatch_pf = _make_fused_dispatch(engine) or engine._dispatch_prefetches
+    dispatch_pf = engine._dispatch_prefetches
     replay = stream is not None
     if replay:
         s_ends, s_targets = stream.ends, stream.targets

@@ -471,8 +471,9 @@ def _drive_group(workload: Workload, configs: Sequence[SimConfig],
                  ) -> list[Optional[SimResult]]:
     """Build one engine for ``configs`` (led by the first), drive and collect it once.
 
-    A lone config keeps its bare policy, so a lone DRIPPER keeps its fused
-    decision (DESIGN.md §9); several share a :class:`PolicyEnsemble`.
+    A lone config keeps its bare policy: an ensemble of one would pay its
+    list comprehensions and a ``Decision`` copy for every candidate.  Several
+    share a :class:`PolicyEnsemble`.
     Returns one result per config, ``None`` for each member that diverged.
     ``obs`` is finished once per config served, with its own policy and an
     even share of the drive's wall seconds.

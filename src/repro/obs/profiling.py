@@ -3,10 +3,10 @@
 Inside its ``with`` block a :class:`Probe` arms ``setitimer(ITIMER_PROF)``.
 Each ``SIGPROF`` (every :data:`INTERVAL` of process CPU time, or every
 kernel tick if that is coarser) charges one sample to the section of the
-innermost kernel frame on the stack.  In :func:`repro.cpu.fastpath.core_stepper`,
-the fused dispatch and ``CoreEngine._dispatch_prefetches`` that is the
-section the running line falls in, opened by the last ``# profile:
-<section>`` comment above it; :func:`repro.cpu.simulator.collect_result` is
+innermost kernel frame on the stack.  In :func:`repro.cpu.fastpath.core_stepper`
+and ``CoreEngine._dispatch_prefetches`` that is the section the running
+line falls in, opened by the last ``# profile: <section>`` comment above
+it; :func:`repro.cpu.simulator.collect_result` is
 ``collect``; with no kernel frame on the stack the sample is ``other``.  So
 a callee's time (a walk, an L2 access) goes to the kernel line that called
 it.  Nothing in the simulator is wrapped, so a profiled run drives the same
@@ -70,10 +70,7 @@ def _code_map() -> dict[CodeType, Any]:
     from repro.cpu.core import CoreEngine
     from repro.cpu.simulator import collect_result
 
-    dispatch = next(c for c in fastpath._make_fused_dispatch.__code__.co_consts
-                    if isinstance(c, CodeType) and c.co_name == "dispatch")
-    kernels = (fastpath.core_stepper.__code__, dispatch,
-               CoreEngine._dispatch_prefetches.__code__)
+    kernels = (fastpath.core_stepper.__code__, CoreEngine._dispatch_prefetches.__code__)
     codes: dict[CodeType, Any] = {code: _instruction_sections(code) for code in kernels}
     codes[collect_result.__code__] = "collect"
     return codes

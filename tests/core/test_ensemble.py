@@ -149,17 +149,6 @@ class TestDivergence:
         assert not ensemble.decide(REQ, CTX, STATE).issue
         assert ensemble.live == [0] and ensemble.dropped == [1, 2]
 
-    def test_inflight_recount_follows_the_live_members(self):
-        wants = Recorder(1, [False])
-        wants.wants_inflight_feature = True
-        quiet = Recorder(0, [True])
-        quiet.wants_inflight_feature = False
-        ensemble = PolicyEnsemble([quiet, wants])
-        assert ensemble.wants_inflight_feature
-        ensemble.decide(REQ, CTX, STATE)
-        assert ensemble.dropped == [1]
-        assert not ensemble.wants_inflight_feature
-
 
 def _configs(workload, policies, **spec):
     return [RunSpec(policy=policy, warmup_instructions=1_000, sim_instructions=3_000,

@@ -13,8 +13,8 @@ def epoch(useful=10, useless=0, ipc=1.0, llc_rate=0.1, llc_mpki=1.0, l1i_mpki=0.
     )
 
 
-def quiet_state():
-    return SystemState()
+def quiet_state(in_flight=0):
+    return SystemState(in_flight=lambda t: in_flight)
 
 
 class TestStaticThreshold:
@@ -103,16 +103,14 @@ class TestInEpochOverrides:
 
     def test_rob_pressure_with_inflight_misses_forces_high(self):
         t = AdaptiveThreshold()
-        state = quiet_state()
+        state = quiet_state(in_flight=16)
         state.rob_stall_fraction = 0.9
-        state.l1d_inflight_misses = 16
         assert t.effective(state) == t.config.t_high
 
     def test_rob_pressure_alone_insufficient(self):
         t = AdaptiveThreshold()
-        state = quiet_state()
+        state = quiet_state(in_flight=0)
         state.rob_stall_fraction = 0.9
-        state.l1d_inflight_misses = 0
         assert t.effective(state) == t.config.t_default
 
     def test_low_recent_accuracy_forces_high(self):
