@@ -28,7 +28,9 @@ attaches a runtime invariant checker to every simulation (conservation laws
 asserted per epoch and at collect time; a violation aborts the command with a
 counter snapshot).  ``validate`` runs the differential suite — determinism,
 parallel-vs-serial, discard-vs-source-suppression, epoch invariance,
-packed-vs-generator equality, per-run invariant passes, and mutation detection.
+packed-vs-generator equality, prefetch replay vs live, policy lockstep vs
+solo, the sampled error bound and determinism, mix packed-vs-generator,
+per-run invariant passes, and mutation detection.
 
 ``run``, ``compare``, ``sweep``, and ``inspect`` accept observability flags:
 ``--timeline-out`` (per-epoch CSV/JSONL time series), ``--journal``
@@ -812,9 +814,12 @@ def build_parser() -> argparse.ArgumentParser:
         "validate",
         help="run the differential/metamorphic validation suite",
         description="Differential validation: determinism, parallel-vs-serial, "
-                    "discard-vs-source-suppression, epoch invariance, a full "
-                    "invariant pass per (workload x policy), and mutation "
-                    "detection.  Exits 1 if any check fails.",
+                    "discard-vs-source-suppression, epoch invariance, "
+                    "packed-vs-generator, prefetch replay vs live, policy "
+                    "lockstep vs solo, the sampled error bound and "
+                    "determinism, mix packed-vs-generator, a full invariant "
+                    "pass per (workload x policy), and mutation detection.  "
+                    "Exits 1 if any check fails.",
     )
     val_p.add_argument("--workloads", nargs="+", default=["astar", "hmmer"],
                        metavar="NAME", help="registry workload names")

@@ -176,39 +176,30 @@ class CoreEngine:
     # ------------------------------------------------------------------
     # translation paths
 
+    # the data and instruction seams stay named methods: the stepper hoists
+    # them and tracers wrap them by name; a stored partial would be an
+    # engine -> engine cycle (DESIGN.md §16)
     def _translate_data(self, vaddr: int, t: float) -> tuple[float, Translation]:
-        tr = self.dtlb.lookup(vaddr)
-        if tr is not None:
-            return float(self.dtlb.latency), tr
-        latency = float(self.dtlb.latency)
-        tr = self.stlb.lookup(vaddr)
-        if tr is not None:
-            latency += self.stlb.latency
-            self.dtlb.insert(tr)
-            return latency, tr
-        latency += self.stlb.latency
-        walk = self._walk(vaddr, t + latency, speculative=False)
-        latency += walk.latency
-        self.stlb.insert(walk.translation)
-        self.dtlb.insert(walk.translation)
-        return latency, walk.translation
+        return self._translate(self.dtlb, vaddr, t)
 
     def _translate_instruction(self, vaddr: int, t: float) -> tuple[float, Translation]:
-        tr = self.itlb.lookup(vaddr)
+        return self._translate(self.itlb, vaddr, t)
+
+    def _translate(self, l1_tlb: Tlb, vaddr: int, t: float) -> tuple[float, Translation]:
+        """L1 TLB -> sTLB -> demand walk; returns (latency, translation)."""
+        latency = float(l1_tlb.latency)
+        tr = l1_tlb.lookup(vaddr)
         if tr is not None:
-            return float(self.itlb.latency), tr
-        latency = float(self.itlb.latency)
-        tr = self.stlb.lookup(vaddr)
-        if tr is not None:
-            latency += self.stlb.latency
-            self.itlb.insert(tr)
             return latency, tr
+        tr = self.stlb.lookup(vaddr)
         latency += self.stlb.latency
-        walk = self._walk(vaddr, t + latency, speculative=False)
-        latency += walk.latency
-        self.stlb.insert(walk.translation)
-        self.itlb.insert(walk.translation)
-        return latency, walk.translation
+        if tr is None:
+            walk = self._walk(vaddr, t + latency)
+            latency += walk.latency
+            tr = walk.translation
+            self.stlb.insert(tr)
+        l1_tlb.insert(tr)
+        return latency, tr
 
     # ------------------------------------------------------------------
     # prefetch plumbing (Figure 5)
@@ -291,7 +282,7 @@ class CoreEngine:
                     self.dtlb.insert(tr, from_prefetch=True)
                 paddr = tr.physical(target)
             pgc.issued += 1  # profile: prefetcher
-            prefetch_l1d(paddr, t + trans_lat, pcb=True)
+            prefetch_l1d(paddr, t + trans_lat, True)  # pcb=True
             policy.on_issued(paddr >> LINE_SHIFT, record)  # profile: pgc-filter
 
     # ------------------------------------------------------------------

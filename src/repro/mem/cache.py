@@ -13,7 +13,7 @@ of a never-hit PCB block fires ``listener.on_pcb_evict_unused``.
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Callable, Optional, Protocol
 
 from repro.mem.replacement import LruPolicy, make_replacement_policy
@@ -109,7 +109,7 @@ class Cache:
         """Check residency without touching LRU state or statistics."""
         return self._sets[line & self._set_mask].get(line)
 
-    def lookup(self, line: int, t: float, *, demand: bool = True) -> Optional[Block]:
+    def lookup(self, line: int, t: float, demand: bool = True) -> Optional[Block]:
         """Tag lookup; updates replacement state and statistics."""
         cset = self._sets[line & self._set_mask]
         block = cset.get(line)
@@ -146,7 +146,7 @@ class Cache:
                 block.hits += 1
         return block
 
-    def fill(self, line: int, t: float, ready: float, *, prefetched: bool = False, pcb: bool = False) -> None:
+    def fill(self, line: int, t: float, ready: float, prefetched: bool = False, pcb: bool = False) -> None:
         """Install a line, evicting the policy's victim if the set is full."""
         cset = self._sets[line & self._set_mask]
         existing = cset.get(line)
@@ -213,23 +213,13 @@ class Cache:
 
     # -- miss timing -------------------------------------------------------
 
-    def outstanding_ready(self, line: int, t: float) -> Optional[float]:
-        """Fill-ready time when the line is already being fetched (MSHR merge)."""
-        ready = self._outstanding.get(line)
-        if ready is not None and ready > t:
-            return ready
-        if ready is not None:
-            del self._outstanding[line]
-        return None
-
     def mshr_delay(self, t: float) -> float:
         """Extra cycles a new miss waits for a free MSHR at time `t`."""
         heap = self._mshr_heap
         if heap and heap[0][0] <= t:
             out = self._outstanding
-            pop = heapq.heappop
             while heap and heap[0][0] <= t:
-                _, line = pop(heap)
+                _, line = heappop(heap)
                 ready = out.get(line)
                 if ready is not None and ready <= t:
                     del out[line]
@@ -238,10 +228,36 @@ class Cache:
             return heap[0][0] - t
         return 0.0
 
-    def register_miss(self, line: int, t: float, ready: float) -> None:
-        """Track an in-flight miss for merging and MSHR occupancy."""
-        self._outstanding[line] = ready
-        heapq.heappush(self._mshr_heap, (ready, line))
+    def miss(self, line: int, t: float, lower: Callable[[int, float, bool], float],
+             demand: bool, prefetched: bool = False, pcb: bool = False) -> tuple[float, bool]:
+        """Serve a tag miss at time `t`; returns ``(ready, merged)``.
+
+        The one miss sequence of every level: merge into the line's in-flight
+        fill (``merged``, ``ready`` its fill time), else wait for a free MSHR,
+        read the level below through ``lower(line, issue, demand)`` (its
+        latency), record the miss for merging and MSHR occupancy, and fill.
+        ``lower`` is passed per call, never stored: a stored bound method
+        of the hierarchy would close a cycle (DESIGN.md §16).
+        """
+        out = self._outstanding
+        ready = out.get(line)
+        if ready is not None:
+            if ready > t:
+                return ready, True
+            del out[line]
+        # mshr_delay is a pure no-op returning 0.0 unless the heap has
+        # drainable or full entries, so the call is skipped otherwise (hot)
+        heap = self._mshr_heap
+        stall = (self.mshr_delay(t)
+                 if heap and (heap[0][0] <= t or len(heap) >= self._mshr_entries)
+                 else 0.0)
+        issue = t + self.latency + stall
+        ready = issue + lower(line, issue, demand)
+        out[line] = ready
+        heappush(heap, (ready, line))
+        # an instance lookup, so InvariantChecker's per-cache wrap sees it
+        self.fill(line, t, ready, prefetched, pcb)
+        return ready, False
 
     def in_flight_misses(self, t: float) -> int:
         """Distinct lines with an incomplete miss in flight at time `t`.

@@ -58,8 +58,13 @@ class Dram:
         self._open_rows[ch][bank] = row
         return float(p.access_latency)
 
-    def read(self, line: int, t: float) -> float:
-        """Issue a read; returns its latency including queueing delay."""
+    def read(self, line: int, t: float, demand: bool = True) -> float:
+        """Issue a read; returns its latency including queueing delay.
+
+        Demand and prefetch reads are served alike: ``demand`` only gives
+        ``read`` the signature of a level below, so the LLC's
+        :meth:`Cache.miss` takes it as ``lower`` directly.
+        """
         self.reads += 1
         ch = line & self._channel_mask
         nf = self._next_free

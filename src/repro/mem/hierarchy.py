@@ -12,11 +12,19 @@ hierarchies (8-core mixes).  Entry points:
 All methods take the current core time ``t`` and return a latency; fills are
 annotated with their ready time so that late prefetches are charged the
 residual wait.
+
+Each entry point keeps its own hit arm (late-prefetch accounting, per-core
+LLC stats, its latency floor) and hands a tag miss to :meth:`Cache.miss`,
+the one miss sequence (merge, MSHR wait, read below, record, fill), with
+the level below as ``lower``: :meth:`_read_l2` for the L1s,
+:meth:`_read_llc` for the L2C and :meth:`Dram.read` for the LLC.  ``lower``
+is passed per call, never stored on a cache (DESIGN.md §16).  Calls on this path pass their
+flags (``demand``, ``prefetched``, ``pcb``) positionally: in CPython 3.11 a
+keyword argument more than doubles the cost of the call.
 """
 
 from __future__ import annotations
 
-from heapq import heappush
 from typing import Optional
 
 from repro.mem.cache import Cache
@@ -54,210 +62,102 @@ class MemoryHierarchy:
 
     def _read_llc(self, line: int, t: float, demand: bool) -> float:
         """LLC lookup at time t; returns cycles until data is available."""
-        lat = self.llc.latency
-        block = self.llc.lookup(line, t, demand=demand)
+        llc = self.llc
+        lat = llc.latency
+        block = llc.lookup(line, t, demand)
         if demand:
             self.llc_core_stats.record(block is not None)
         if block is not None:
             return max(lat, block.ready - t)
-        # inlined Cache.outstanding_ready (hot): merge into an in-flight
-        # fill when one exists, dropping stale completed entries
-        out = self.llc._outstanding
-        merged = out.get(line)
-        if merged is not None:
-            if merged > t:
-                # merging into an almost-complete fill still costs a tag lookup
-                return max(float(lat), merged - t)
-            del out[line]
-        # inlined register_miss + guarded mshr_delay (the call is a pure
-        # no-op returning 0.0 unless the heap has drainable or full entries)
-        llc = self.llc
-        heap = llc._mshr_heap
-        stall = (llc.mshr_delay(t)
-                 if heap and (heap[0][0] <= t or len(heap) >= llc._mshr_entries)
-                 else 0.0)
-        issue = t + lat + stall
-        dram_lat = self.dram.read(line, issue)
-        ready = issue + dram_lat
-        out[line] = ready
-        heappush(heap, (ready, line))
-        llc.fill(line, t, ready)
-        return ready - t
+        ready, merged = llc.miss(line, t, self.dram.read, demand)
+        # merging into an almost-complete fill still costs a tag lookup
+        return max(float(lat), ready - t) if merged else ready - t
 
     def _read_l2(self, line: int, t: float, demand: bool) -> float:
         """L2C lookup at time t; misses recurse into the LLC."""
-        lat = self.l2c.latency
-        block = self.l2c.lookup(line, t, demand=demand)
+        l2c = self.l2c
+        lat = l2c.latency
+        block = l2c.lookup(line, t, demand)
         if block is not None:
             return max(lat, block.ready - t)
-        out = self.l2c._outstanding
-        merged = out.get(line)
-        if merged is not None:
-            if merged > t:
-                return max(float(lat), merged - t)
-            del out[line]
-        l2c = self.l2c
-        heap = l2c._mshr_heap
-        stall = (l2c.mshr_delay(t)
-                 if heap and (heap[0][0] <= t or len(heap) >= l2c._mshr_entries)
-                 else 0.0)
-        issue = t + lat + stall
-        lower = self._read_llc(line, issue, demand)
-        ready = issue + lower
-        out[line] = ready
-        heappush(heap, (ready, line))
-        l2c.fill(line, t, ready)
-        return ready - t
+        ready, merged = l2c.miss(line, t, self._read_llc, demand)
+        return max(float(lat), ready - t) if merged else ready - t
 
     # -- demand data path ----------------------------------------------------
 
     def load(self, paddr: int, t: float) -> tuple[float, bool]:
         """Demand load.  Returns (latency, l1d_hit)."""
         line = paddr >> LINE_SHIFT
-        lat = self.l1d.latency
-        block = self.l1d.lookup(line, t, demand=True)
+        l1d = self.l1d
+        lat = l1d.latency
+        block = l1d.lookup(line, t)
         if block is not None:
             if block.ready > t + lat:
                 if block.prefetched and block.hits == 1:
-                    self.l1d.prefetch_late += 1
+                    l1d.prefetch_late += 1
                 return block.ready - t, True
             return float(lat), True
-        out = self.l1d._outstanding
-        merged = out.get(line)
-        if merged is not None:
-            if merged > t:
-                return max(float(lat), merged - t), False
-            del out[line]
-        l1d = self.l1d
-        heap = l1d._mshr_heap
-        stall = (l1d.mshr_delay(t)
-                 if heap and (heap[0][0] <= t or len(heap) >= l1d._mshr_entries)
-                 else 0.0)
-        issue = t + lat + stall
-        lower = self._read_l2(line, issue, demand=True)
-        ready = issue + lower
-        out[line] = ready
-        heappush(heap, (ready, line))
-        l1d.fill(line, t, ready)
-        return ready - t, False
+        ready, merged = l1d.miss(line, t, self._read_l2, True)
+        return (max(float(lat), ready - t) if merged else ready - t), False
 
     def store(self, paddr: int, t: float) -> float:
         """Demand store (write-allocate; the core does not wait on the fill)."""
         line = paddr >> LINE_SHIFT
-        lat = self.l1d.latency
-        block = self.l1d.lookup(line, t, demand=True)
+        l1d = self.l1d
+        block = l1d.lookup(line, t)
         if block is None:
-            merged = self.l1d.outstanding_ready(line, t)
-            if merged is None:
-                stall = self.l1d.mshr_delay(t)
-                issue = t + lat + stall
-                lower = self._read_l2(line, issue, demand=True)
-                ready = issue + lower
-                self.l1d.register_miss(line, t, ready)
-                self.l1d.fill(line, t, ready)
-            block = self.l1d.probe(line)
+            l1d.miss(line, t, self._read_l2, True)
+            block = l1d.probe(line)
         if block is not None:
             block.dirty = True
-        return float(lat)
+        return float(l1d.latency)
 
     # -- instruction path ------------------------------------------------------
 
     def ifetch(self, paddr: int, t: float) -> float:
         """Instruction-line fetch through the L1I."""
         line = paddr >> LINE_SHIFT
-        lat = self.l1i.latency
-        block = self.l1i.lookup(line, t, demand=True)
+        l1i = self.l1i
+        lat = l1i.latency
+        block = l1i.lookup(line, t)
         if block is not None:
             return max(float(lat), block.ready - t)
-        out = self.l1i._outstanding
-        merged = out.get(line)
-        if merged is not None:
-            if merged > t:
-                return max(float(lat), merged - t)
-            del out[line]
-        l1i = self.l1i
-        heap = l1i._mshr_heap
-        stall = (l1i.mshr_delay(t)
-                 if heap and (heap[0][0] <= t or len(heap) >= l1i._mshr_entries)
-                 else 0.0)
-        issue = t + lat + stall
-        lower = self._read_l2(line, issue, demand=True)
-        ready = issue + lower
-        out[line] = ready
-        heappush(heap, (ready, line))
-        l1i.fill(line, t, ready)
-        return ready - t
+        ready, merged = l1i.miss(line, t, self._read_l2, True)
+        return max(float(lat), ready - t) if merged else ready - t
 
     def prefetch_l1i(self, paddr: int, t: float) -> None:
         """Next-line style instruction prefetch fill."""
         line = paddr >> LINE_SHIFT
         l1i = self.l1i
-        if l1i._sets[line & l1i._set_mask].get(line) is not None:
-            return
-        out = l1i._outstanding
-        merged = out.get(line)
-        if merged is not None:
-            if merged > t:
-                return
-            del out[line]
-        heap = l1i._mshr_heap
-        stall = (l1i.mshr_delay(t)
-                 if heap and (heap[0][0] <= t or len(heap) >= l1i._mshr_entries)
-                 else 0.0)
-        issue = t + l1i.latency + stall
-        lower = self._read_l2(line, issue, demand=False)
-        ready = issue + lower
-        out[line] = ready
-        heappush(heap, (ready, line))
-        l1i.fill(line, t, ready, prefetched=True)
+        # inlined probe (hot): a resident line is never refetched
+        if l1i._sets[line & l1i._set_mask].get(line) is None:
+            l1i.miss(line, t, self._read_l2, False, True)
 
     # -- prefetch paths ---------------------------------------------------------
 
-    def prefetch_l1d(self, paddr: int, t: float, *, pcb: bool = False) -> Optional[float]:
+    def prefetch_l1d(self, paddr: int, t: float, pcb: bool = False) -> Optional[float]:
         """L1D prefetch fill; returns the fill-ready time, or None if dropped
         (already resident / already in flight)."""
         line = paddr >> LINE_SHIFT
         l1d = self.l1d
         if l1d._sets[line & l1d._set_mask].get(line) is not None:
             return None
-        out = l1d._outstanding
-        merged = out.get(line)
-        if merged is not None:
-            if merged > t:
-                return None
-            del out[line]
-        heap = l1d._mshr_heap
-        stall = (l1d.mshr_delay(t)
-                 if heap and (heap[0][0] <= t or len(heap) >= l1d._mshr_entries)
-                 else 0.0)
-        issue = t + l1d.latency + stall
-        lower = self._read_l2(line, issue, demand=False)
-        ready = issue + lower
-        out[line] = ready
-        heappush(heap, (ready, line))
-        l1d.fill(line, t, ready, prefetched=True, pcb=pcb)
-        return ready
+        ready, merged = l1d.miss(line, t, self._read_l2, False, True, pcb)
+        return None if merged else ready
 
     def prefetch_l2(self, paddr: int, t: float) -> Optional[float]:
         """L2C prefetch fill (used by the Section V-B7 L2 prefetcher study)."""
         line = paddr >> LINE_SHIFT
         if self.l2c.probe(line) is not None:
             return None
-        if self.l2c.outstanding_ready(line, t) is not None:
-            return None
-        stall = self.l2c.mshr_delay(t)
-        issue = t + self.l2c.latency + stall
-        lower = self._read_llc(line, issue, demand=False)
-        ready = issue + lower
-        self.l2c.register_miss(line, t, ready)
-        self.l2c.fill(line, t, ready, prefetched=True)
-        return ready
+        ready, merged = self.l2c.miss(line, t, self._read_llc, False, True)
+        return None if merged else ready
 
     # -- page-walk path -----------------------------------------------------------
 
     def ptw_read(self, pte_paddr: int, t: float, speculative: bool) -> float:
         """PTE read issued by the page walker (L2C -> LLC -> DRAM)."""
-        return self._read_l2(pte_paddr >> LINE_SHIFT, t, demand=False)
+        return self._read_l2(pte_paddr >> LINE_SHIFT, t, False)
 
     # -- bookkeeping -----------------------------------------------------------
 

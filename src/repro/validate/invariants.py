@@ -152,7 +152,7 @@ class InvariantChecker:
         original = _unowned(cache.fill)
         name = cache.name
 
-        def checked_fill(line: int, t: float, ready: float, **kw: Any) -> None:
+        def checked_fill(line: int, t: float, ready: float, *flags: bool, **kw: bool) -> None:
             if ready < t:
                 self._fail(
                     "fill-ready-monotonic",
@@ -160,7 +160,7 @@ class InvariantChecker:
                     {"cache": name, "line": line, "t": t, "ready": ready},
                     scope="fill",
                 )
-            original(line, t, ready, **kw)
+            original(line, t, ready, *flags, **kw)
 
         cache.fill = checked_fill
 

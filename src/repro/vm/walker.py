@@ -50,7 +50,7 @@ class PageWalker:
         self.speculative_walk_reads = 0
         self._snap = (0, 0, 0.0, 0)
 
-    def walk(self, vaddr: int, t: float, *, speculative: bool = False) -> WalkResult:
+    def walk(self, vaddr: int, t: float, speculative: bool = False) -> WalkResult:
         """Walk the page table for `vaddr` starting at time `t`."""
         leaf = self.page_table.leaf_level(vaddr)
         hit_level = self.psc.best_hit_level(vaddr)

@@ -76,57 +76,77 @@ class TestResidency:
         assert c.probe(lines[-1]) is not None
 
 
+def in_flight(c: Cache, line: int, t: float, ready: float) -> tuple[float, bool]:
+    """Miss on `line` at `t` through a stub lower level whose fill is ready at `ready`."""
+    return c.miss(line, t, lambda line, t, demand: ready - t, True)
+
+
 class TestMshr:
+    def test_miss_fills_at_lower_ready_time(self):
+        c = small_cache()
+        assert in_flight(c, 1, 0.0, 100.0) == (100.0, False)
+        assert c.probe(1).ready == 100.0
+
     def test_merge_returns_ready_time(self):
         c = small_cache()
-        c.register_miss(1, 0.0, 100.0)
-        assert c.outstanding_ready(1, 50.0) == 100.0
+        in_flight(c, 1, 0.0, 100.0)
+        c.invalidate(1)
+        assert in_flight(c, 1, 50.0, 999.0) == (100.0, True)
 
     def test_merge_expires(self):
         c = small_cache()
-        c.register_miss(1, 0.0, 100.0)
-        assert c.outstanding_ready(1, 150.0) is None
+        in_flight(c, 1, 0.0, 100.0)
+        c.invalidate(1)
+        assert in_flight(c, 1, 150.0, 400.0) == (400.0, False)
 
     def test_no_delay_under_capacity(self):
         c = small_cache(mshr=4)
         for line in range(3):
-            c.register_miss(line, 0.0, 100.0)
+            in_flight(c, line, 0.0, 100.0)
         assert c.mshr_delay(1.0) == 0.0
 
     def test_delay_when_full(self):
         c = small_cache(mshr=2)
-        c.register_miss(1, 0.0, 100.0)
-        c.register_miss(2, 0.0, 120.0)
+        in_flight(c, 1, 0.0, 100.0)
+        in_flight(c, 2, 0.0, 120.0)
         assert c.mshr_delay(10.0) == 90.0  # waits for the 100-cycle entry
+
+    def test_full_mshr_delays_the_issue(self):
+        c = small_cache(mshr=2)
+        in_flight(c, 1, 0.0, 100.0)
+        in_flight(c, 2, 0.0, 120.0)
+        issued = []
+        c.miss(3, 10.0, lambda line, t, demand: issued.append(t) or 50.0, True)
+        assert issued == [100.0 + c.latency]  # a free MSHR at 100, then the tag lookup
 
     def test_full_mshr_drains_over_time(self):
         c = small_cache(mshr=2)
-        c.register_miss(1, 0.0, 100.0)
-        c.register_miss(2, 0.0, 120.0)
+        in_flight(c, 1, 0.0, 100.0)
+        in_flight(c, 2, 0.0, 120.0)
         assert c.mshr_delay(130.0) == 0.0
 
     def test_in_flight_count(self):
         c = small_cache(mshr=8)
         for line in range(5):
-            c.register_miss(line, 0.0, 100.0)
+            in_flight(c, line, 0.0, 100.0)
         assert c.in_flight_misses(50.0) == 5
 
     def test_in_flight_excludes_completed_fills(self):
         # the pre-fix implementation reported the raw heap length, which
         # kept counting entries whose fill had already completed
         c = small_cache(mshr=8)
-        c.register_miss(1, 0.0, 100.0)
-        c.register_miss(2, 0.0, 300.0)
+        in_flight(c, 1, 0.0, 100.0)
+        in_flight(c, 2, 0.0, 300.0)
         assert c.in_flight_misses(200.0) == 1
         assert c.in_flight_misses(300.0) == 0
 
     def test_in_flight_dedupes_reregistered_lines(self):
         c = small_cache(mshr=8)
-        c.register_miss(1, 0.0, 100.0)
-        assert c.outstanding_ready(1, 150.0) is None  # expires the first fetch
-        c.register_miss(1, 150.0, 400.0)
+        in_flight(c, 1, 0.0, 100.0)
+        c.invalidate(1)
+        # the first fetch has completed: expire it and fetch again
+        assert in_flight(c, 1, 150.0, 400.0) == (400.0, False)
         assert c.in_flight_misses(200.0) == 1
-
 
 
 class TestPcbEvents:

@@ -144,7 +144,7 @@ class TestIndividualLaws:
     def test_mshr_accounting_breakage_detected(self):
         engine, checker = self.attach()
         l1d = engine.hierarchy.l1d
-        l1d.register_miss(7, 0.0, 50.0)
+        l1d.miss(7, 0.0, lambda line, t, demand: 50.0 - t, True)
         l1d._outstanding[99] = 1e9  # phantom in-flight miss with no heap entry
         with pytest.raises(InvariantViolation) as excinfo:
             checker.check_epoch(engine)

@@ -8,8 +8,8 @@ from repro.validate.differential import check_mutation_detected
 
 def cache_with_completed_fill() -> Cache:
     c = Cache(CacheParams("test", 4 * 2 * 64, 2, 5, 8))
-    c.register_miss(1, 0.0, 100.0)  # completed by t=200
-    c.register_miss(2, 0.0, 300.0)  # still in flight at t=200
+    c.miss(1, 0.0, lambda line, t, demand: 100.0 - t, True)  # completed by t=200
+    c.miss(2, 0.0, lambda line, t, demand: 300.0 - t, True)  # still in flight at t=200
     return c
 
 
