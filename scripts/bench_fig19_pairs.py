@@ -26,13 +26,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import platform
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
-from bench_pairs import git_rev, spread, src_tree, summarise
+from bench_pairs import alternate, provenance, spread, summarise
 
 #: one run, executed in the checkout under test; prints one JSON line
 RUN = r"""
@@ -92,12 +91,13 @@ def main(argv=None) -> int:
     params = {"n_mixes": args.n_mixes, "cores": args.cores, "warmup": args.warmup,
               "sim": args.sim, "seed": args.seed, "policies": args.policies,
               "jobs": args.jobs}
-    runs: dict[str, list[dict]] = {"parent": [], "change": []}
-    for pair in range(args.pairs):
-        order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-        for side in order:
-            runs[side].append(run(sides[side], params))
-            print(f"pair {pair} {side}: {runs[side][-1]['wall_s']:.2f} s", file=sys.stderr)
+
+    def one(side: str, pair: int) -> dict:
+        result = run(sides[side], params)
+        print(f"pair {pair} {side}: {result['wall_s']:.2f} s", file=sys.stderr)
+        return result
+
+    runs = alternate(args.pairs, one)
     digests = {r["digest"] for side in runs.values() for r in side}
     if len(digests) != 1:
         raise SystemExit(f"outputs differ across runs: {sorted(digests)}")
@@ -114,13 +114,7 @@ def main(argv=None) -> int:
                    f"--warmup {args.warmup} --sim {args.sim} --seed {args.seed} "
                    f"--policies {' '.join(args.policies)} --jobs {args.jobs} "
                    f"--pairs {args.pairs} --out {args.out.name}"),
-        # the src/ tree hashes identify the simulator each side ran (a
-        # commit with the same program has the same ``git rev-parse C:src``)
-        "parent_sha": git_rev(sides["parent"], "HEAD"),
-        "parent_src_tree": src_tree(sides["parent"]),
-        "change_src_tree": src_tree(sides["change"]),
-        "python": platform.python_version(),
-        "cpus": os.cpu_count(),
+        **provenance(sides),
         "rule": "change wins >= 9 of 10 pairs and median gap > parent inter-quartile range",
         "wall_s": race,
         "wall_s_quartiles": {side: spread(values) for side, values in wall.items()},

@@ -39,6 +39,7 @@ import sys
 import tempfile
 from pathlib import Path
 from time import perf_counter
+from typing import Callable, TypeVar
 
 #: per-layer metrics kept from the traced runs
 LAYERS = (
@@ -48,6 +49,8 @@ LAYERS = (
 )
 #: passes of the untimed collector audit (after the workload's set-up)
 AUDIT_PASSES = 3
+
+T = TypeVar("T")
 
 
 def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -132,6 +135,34 @@ def src_tree(checkout: Path) -> str:
     return out.stdout.strip()
 
 
+def provenance(sides: dict[str, Path]) -> dict:
+    """The BENCH header naming what each side ran, and on what host.
+
+    The src/ tree hashes identify the simulator each side ran (a commit
+    with the same program has the same ``git rev-parse C:src``).
+    """
+    return {
+        "parent_sha": git_rev(sides["parent"], "HEAD"),
+        "parent_src_tree": src_tree(sides["parent"]),
+        "change_src_tree": src_tree(sides["change"]),
+        "python": platform.python_version(),
+        "cpus": os.cpu_count(),
+    }
+
+
+def alternate(pairs: int, run_side: Callable[[str, int], T]) -> dict[str, list[T]]:
+    """Each side's ``run_side(side, pair)`` results over ``pairs`` pairs.
+
+    Which side goes first swaps every pair, so slow host drift charges both
+    sides alike.
+    """
+    runs: dict[str, list[T]] = {"parent": [], "change": []}
+    for pair in range(pairs):
+        for side in ("parent", "change") if pair % 2 == 0 else ("change", "parent"):
+            runs[side].append(run_side(side, pair))
+    return runs
+
+
 def spread(values: list[float]) -> dict:
     """Median and quartiles of one side's runs."""
     q1, median, q3 = (statistics.quantiles(values, n=4) if len(values) > 1
@@ -211,13 +242,7 @@ def main(argv=None) -> int:
                    f"--workload {args.workload} --seeds {' '.join(map(str, args.seeds))} "
                    f"--pairs {args.pairs} --metric {args.metric}"
                    f"{' --traced' if args.traced else ''} --out {args.out.name}"),
-        # the src/ tree hashes identify the simulator each side ran (a
-        # commit with the same program has the same ``git rev-parse C:src``)
-        "parent_sha": git_rev(sides["parent"], "HEAD"),
-        "parent_src_tree": src_tree(sides["parent"]),
-        "change_src_tree": src_tree(sides["change"]),
-        "python": platform.python_version(),
-        "cpus": os.cpu_count(),
+        **provenance(sides),
         "metric": args.metric,
         "better": better,
         "rule": "change wins >= 9 of 10 pairs and median gap > parent inter-quartile range",
@@ -227,16 +252,15 @@ def main(argv=None) -> int:
         "seeds": {},
     }
     for seed in args.seeds:
-        values: dict[str, list[float]] = {"parent": [], "change": []}
-        runs: dict[str, list[dict]] = {"parent": [], "change": []}
-        for pair in range(args.pairs):
-            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-            for side in order:
-                result = run(sides[side], args.workload, seed, args.seconds, 0)
-                values[side].append(result["metrics"][args.metric]["value"])
-                runs[side].append({name: m["value"] for name, m in result["metrics"].items()})
-                print(f"seed {seed} pair {pair} {side}: "
-                      f"{args.metric} {values[side][-1]:.3f}", file=sys.stderr)
+        def one(side: str, pair: int, seed: int = seed) -> dict[str, float]:
+            result = run(sides[side], args.workload, seed, args.seconds, 0)
+            metrics = {name: m["value"] for name, m in result["metrics"].items()}
+            print(f"seed {seed} pair {pair} {side}: "
+                  f"{args.metric} {metrics[args.metric]:.3f}", file=sys.stderr)
+            return metrics
+
+        runs = alternate(args.pairs, one)
+        values = {side: [r[args.metric] for r in rs] for side, rs in runs.items()}
         entry = summarise(values["parent"], values["change"], better)
         entry["end_to_end"] = no_regression(runs, end_to_end)
         entry["runs"] = runs

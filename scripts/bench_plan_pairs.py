@@ -23,7 +23,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from bench_pairs import git_rev, spread, src_tree
+from bench_pairs import alternate, provenance, spread
 
 #: one run, executed in the checkout under test; prints one JSON line
 RUN = r"""
@@ -70,14 +70,14 @@ def main(argv=None) -> int:
 
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     params = {"workload": args.workload, "warmup": args.warmup, "sim": args.sim}
-    runs: dict[str, list[dict]] = {"parent": [], "change": []}
-    for pair in range(args.pairs):
-        order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-        for side in order:
-            runs[side].append(run(sides[side], params))
-            r = runs[side][-1]
-            print(f"pair {pair} {side}: cold {r['cold_s']:.3f} s, warm {r['warm_s']:.4f} s",
-                  file=sys.stderr)
+
+    def one(side: str, pair: int) -> dict:
+        r = run(sides[side], params)
+        print(f"pair {pair} {side}: cold {r['cold_s']:.3f} s, warm {r['warm_s']:.4f} s",
+              file=sys.stderr)
+        return r
+
+    runs = alternate(args.pairs, one)
     plans = {json.dumps(r.pop("plan")) for rs in runs.values() for r in rs}
     if len(plans) != 1:
         raise SystemExit("plans differ across runs")
@@ -87,10 +87,7 @@ def main(argv=None) -> int:
                    f"--pairs {args.pairs} --out {args.out.name}"),
         "window": {**params, "records": runs["change"][0]["records"], "intervals": 64,
                    "phases": 8, "warmup_fraction": 0.5, "seed": 0},
-        "parent_sha": git_rev(sides["parent"], "HEAD"),
-        "parent_src_tree": src_tree(sides["parent"]),
-        "change_src_tree": src_tree(sides["change"]),
-        "cpus": os.cpu_count(),
+        **provenance(sides),
         "cold_s": {side: spread([r["cold_s"] for r in rs]) for side, rs in runs.items()},
         "warm_s": {side: spread([r["warm_s"] for r in rs]) for side, rs in runs.items()},
         "numpy_imported": {side: any(r["numpy_imported"] for r in rs)

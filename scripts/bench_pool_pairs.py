@@ -20,13 +20,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import platform
 import subprocess
 import sys
 from pathlib import Path
 from time import perf_counter
 
-from bench_pairs import git_rev, spread, src_tree, summarise
+from bench_pairs import alternate, provenance, spread, summarise
 
 #: one run_policies call; prints its wall seconds and its results
 POLICIES = r"""
@@ -83,15 +82,15 @@ def main(argv=None) -> int:
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     cases = {}
     for case in args.case:
-        wall: dict[str, list[float]] = {"parent": [], "change": []}
         outputs = set()
-        for pair in range(args.pairs):
-            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-            for side in order:
-                seconds, output = run(sides[side], case, args.warmup, args.sim, args.jobs)
-                wall[side].append(seconds)
-                outputs.add(output)
-                print(f"{case} pair {pair} {side}: {seconds:.2f} s", file=sys.stderr)
+
+        def one(side: str, pair: int, case: str = case) -> float:
+            seconds, output = run(sides[side], case, args.warmup, args.sim, args.jobs)
+            outputs.add(output)
+            print(f"{case} pair {pair} {side}: {seconds:.2f} s", file=sys.stderr)
+            return seconds
+
+        wall = alternate(args.pairs, one)
         if len(outputs) != 1:
             raise SystemExit(f"{case}: results differ across runs")
         race = summarise(wall["parent"], wall["change"])
@@ -105,11 +104,7 @@ def main(argv=None) -> int:
                    + " ".join(f"--case {c}" for c in args.case)
                    + f" --warmup {args.warmup} --sim {args.sim} --jobs {args.jobs} "
                    f"--pairs {args.pairs} --out {args.out.name}"),
-        "parent_sha": git_rev(sides["parent"], "HEAD"),
-        "parent_src_tree": src_tree(sides["parent"]),
-        "change_src_tree": src_tree(sides["change"]),
-        "python": platform.python_version(),
-        "cpus": os.cpu_count(),
+        **provenance(sides),
         "rule": "change wins >= 9 of 10 pairs and median gap > parent inter-quartile range",
         "cases": cases,
     }

@@ -84,6 +84,7 @@ from repro.workloads import (
 from repro.workloads.trace_io import FileWorkload, convert_champsim, snapshot_workload
 
 _POLICIES = ("discard", "permit", "discard-ptw", "iso", "ppf", "ppf+dthr", "dripper", "dripper-sf")
+_PREFETCHERS = ("berti", "berti-timely", "ipcp", "bop", "stride", "next-line", "none")
 
 
 def _sampling_config(args: argparse.Namespace):
@@ -647,24 +648,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_sim_args(p: argparse.ArgumentParser) -> None:
-        group = p.add_mutually_exclusive_group(required=True)
-        group.add_argument("--workload", help="registry workload name")
-        group.add_argument("--trace-file", help="native trace file to replay")
-        p.add_argument("--prefetcher", default="berti",
-                       choices=("berti", "berti-timely", "ipcp", "bop", "stride", "next-line", "none"))
-        p.add_argument("--l2", default="none", choices=("none", "spp", "ipcp", "bop"))
-        p.add_argument("--warmup", type=int, default=20_000)
-        p.add_argument("--sim", type=int, default=60_000)
-        p.add_argument("--large-pages", type=float, default=0.0,
-                       help="fraction of 2MB-backed regions (0..1)")
-        p.add_argument("--validate", action="store_true",
-                       help="attach the runtime invariant checker to every run "
-                            "(abort with a counter snapshot on violation)")
+    def add_sampling_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("--sampling", type=_positive_int, default=None,
                        metavar="PHASES",
-                       help="phase-sampled simulation: cluster the trace into "
-                            "PHASES phases, simulate one representative "
+                       help="phase-sampled simulation: cluster each run's trace "
+                            "into PHASES phases, simulate one representative "
                             "interval each, reconstruct the whole-trace "
                             "result with bootstrap confidence bounds")
         p.add_argument("--sampling-intervals", type=_positive_int, default=64,
@@ -675,6 +663,22 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--sampling-seed", type=int, default=0, metavar="SEED",
                        help="seed for clustering init and the bootstrap "
                             "(sampled runs are bit-reproducible per seed)")
+
+    def add_sim_args(p: argparse.ArgumentParser) -> None:
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument("--workload", help="registry workload name")
+        group.add_argument("--trace-file", help="native trace file to replay")
+        p.add_argument("--prefetcher", default="berti",
+                       choices=_PREFETCHERS)
+        p.add_argument("--l2", default="none", choices=("none", "spp", "ipcp", "bop"))
+        p.add_argument("--warmup", type=int, default=20_000)
+        p.add_argument("--sim", type=int, default=60_000)
+        p.add_argument("--large-pages", type=float, default=0.0,
+                       help="fraction of 2MB-backed regions (0..1)")
+        p.add_argument("--validate", action="store_true",
+                       help="attach the runtime invariant checker to every run "
+                            "(abort with a counter snapshot on violation)")
+        add_sampling_args(p)
 
     def add_parallel_args(p: argparse.ArgumentParser) -> None:
         g = p.add_argument_group("execution")
@@ -733,20 +737,12 @@ def build_parser() -> argparse.ArgumentParser:
     swp_p.add_argument("--policies", nargs="+", default=["permit", "dripper"],
                        choices=_POLICIES, help="policies compared against discard")
     swp_p.add_argument("--prefetcher", default="berti",
-                       choices=("berti", "berti-timely", "ipcp", "bop", "stride", "next-line", "none"))
+                       choices=_PREFETCHERS)
     swp_p.add_argument("--warmup", type=int, default=20_000)
     swp_p.add_argument("--sim", type=int, default=60_000)
     swp_p.add_argument("--validate", action="store_true",
                        help="attach the runtime invariant checker to every run")
-    swp_p.add_argument("--sampling", type=_positive_int, default=None,
-                       metavar="PHASES",
-                       help="phase-sample every sweep cell into PHASES phases "
-                            "(reconstructed results with confidence bounds)")
-    swp_p.add_argument("--sampling-intervals", type=_positive_int, default=64,
-                       metavar="N",
-                       help="profiling intervals per cell for --sampling")
-    swp_p.add_argument("--sampling-seed", type=int, default=0, metavar="SEED",
-                       help="sampling seed (clustering init + bootstrap)")
+    add_sampling_args(swp_p)
     add_parallel_args(swp_p)
     add_obs_args(swp_p)
     swp_p.set_defaults(func=cmd_sweep)
@@ -826,7 +822,7 @@ def build_parser() -> argparse.ArgumentParser:
     val_p.add_argument("--policies", nargs="+", default=["discard", "permit", "dripper"],
                        choices=_POLICIES, help="policies the invariant pass covers")
     val_p.add_argument("--prefetcher", default="berti",
-                       choices=("berti", "berti-timely", "ipcp", "bop", "stride", "next-line", "none"))
+                       choices=_PREFETCHERS)
     val_p.add_argument("--warmup", type=int, default=2_000)
     val_p.add_argument("--sim", type=int, default=6_000)
     val_p.add_argument("--seed", type=int, default=0,

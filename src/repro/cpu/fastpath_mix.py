@@ -19,10 +19,12 @@ generator loop's ``StopIteration`` restart.  Incomplete packs hold the
 entire source trace and simply wrap.
 
 The overflow stream is memoised per workload identity
-(:class:`_OverflowTail`): regenerating prefix + tail is the dominant
+(:func:`~repro.workloads.trace.workload_identity`) in an
+:class:`_OverflowTail`: regenerating prefix + tail is the dominant
 non-simulation cost of a cell, and the records are seed-deterministic, so
 later cells of the same mix replay the cached records instead of re-running
-the source generator.  The memo keeps them as the pack's four typed columns
+the source generator (a workload without an identity regenerates its tail
+on every pass).  The memo keeps them as the pack's four typed columns
 (22 B per record), not as per-record tuples.
 """
 
@@ -34,6 +36,7 @@ from itertools import chain, islice
 from typing import TYPE_CHECKING, Iterator
 
 from repro.workloads.packed import PackedTrace
+from repro.workloads.trace import identity_key
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.workloads.synthetic import SyntheticWorkload
@@ -73,12 +76,9 @@ class _OverflowTail:
     records.
     """
 
-    __slots__ = ("workload", "skip", "pcs", "vaddrs", "flags", "gaps",
-                 "source", "exhausted")
+    __slots__ = ("pcs", "vaddrs", "flags", "gaps", "source", "exhausted")
 
-    def __init__(self, workload: "SyntheticWorkload", skip: int) -> None:
-        self.workload = workload
-        self.skip = skip
+    def __init__(self) -> None:
         self.pcs = array("Q")
         self.vaddrs = array("Q")
         self.flags = array("H")
@@ -97,7 +97,7 @@ _TAIL_RECORD_CAP = 1 << 19
 #: records per column slice a consumer copies to replay the cached span
 _SERVE_CHUNK = 4096
 
-#: FIFO-bounded cache: identity key -> _OverflowTail
+#: FIFO-bounded cache: (identity key, skip) -> _OverflowTail
 _TAIL_CACHE: OrderedDict[tuple, _OverflowTail] = OrderedDict()
 _TAIL_CACHE_CAPACITY = 8
 
@@ -105,22 +105,6 @@ _TAIL_CACHE_CAPACITY = 8
 def clear_overflow_tails() -> None:
     """Drop every memoised overflow tail (test isolation hook)."""
     _TAIL_CACHE.clear()
-
-
-def _tail_key(workload: "SyntheticWorkload", skip: int) -> tuple | None:
-    """Identity key for the tail cache, or None when caching is unsafe.
-
-    Mirrors ``repro.workloads.packed._pack_key``: seed- or path-identified
-    workloads regenerate deterministically, so their tails can be shared;
-    anything else would need id-keyed weakref pinning — not worth it for a
-    pure performance cache, so those streams just stay uncached.
-    """
-    seed = getattr(workload, "seed", None)
-    path = getattr(workload, "path", None)
-    if seed is None and path is None:
-        return None
-    return (type(workload).__name__, workload.name,
-            getattr(workload, "suite", ""), seed, str(path), skip)
 
 
 def _tail_records(workload: "SyntheticWorkload", skip: int) -> Iterator["Record"]:
@@ -131,13 +115,14 @@ def _tail_records(workload: "SyntheticWorkload", skip: int) -> Iterator["Record"
     as they are produced.  Past ``_TAIL_RECORD_CAP`` the consumer continues
     on a private stream advanced beyond everything already served.
     """
-    key = _tail_key(workload, skip)
-    if key is None:
+    identity = identity_key(workload)
+    if identity is None:
         yield from _overflow_iterator(workload, skip)
         return
+    key = (identity, skip)
     tail = _TAIL_CACHE.get(key)
     if tail is None:
-        tail = _OverflowTail(workload, skip)
+        tail = _OverflowTail()
         _TAIL_CACHE[key] = tail
         while len(_TAIL_CACHE) > _TAIL_CACHE_CAPACITY:
             _TAIL_CACHE.popitem(last=False)

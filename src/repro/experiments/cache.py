@@ -3,7 +3,7 @@
 A cache entry maps the SHA-256 fingerprint of one grid cell's *complete*
 inputs — the full :class:`~repro.cpu.simulator.SimConfig` dump (every
 hardware parameter included), the declarative :class:`RunSpec`, and the
-workload identity with its trace seed — to the finished
+workload identity (``workload_identity``) — to the finished
 :class:`~repro.cpu.simulator.SimResult`.  Because every run in this repo is
 deterministic given those inputs, a cache hit is bit-identical to re-running
 the cell: JSON round-trips Python floats exactly.

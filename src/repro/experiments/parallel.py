@@ -86,13 +86,13 @@ from repro.cpu.simulator import SimResult, simulate_policies
 from repro.cpu.simulator import simulate  # noqa: F401 - perfbench's tracer patches it here
 from repro.experiments.cache import CACHE_SCHEMA, ResultCache, fingerprint
 from repro.experiments.runner import RunSpec
-from repro.obs.journal import RunJournal, describe_config, describe_workload
+from repro.obs.journal import RunJournal, describe_config
 from repro.obs.metrics import MetricsSnapshot, get_metrics, reset_metrics
 from repro.obs.progress import GridProgress, ProgressSink
 from repro.obs.tracing import Tracer, current_tracer, install_tracer, trace_span
 from repro.workloads.packed import clear_pack_cache
 from repro.workloads.registry import by_name
-from repro.workloads.trace import trace_window
+from repro.workloads.trace import identity_key, trace_window, workload_identity
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cpu.multicore import MixResult
@@ -154,16 +154,20 @@ def cell_for(workload: Any, spec: RunSpec, *,
     )
 
 
-def cell_fingerprint(cell: Cell, workload: Optional[Any] = None) -> str:
+def cell_fingerprint(cell: Cell, workload: Optional[Any] = None) -> Optional[str]:
     """Content hash of everything the cell's result depends on.
 
-    Covers the workload identity (name, suite, seed, generator knobs), the
-    declarative spec, and the fully materialised config dump — every
+    Covers the workload's :func:`~repro.workloads.trace.workload_identity`,
+    the declarative spec, and the fully materialised config dump — every
     hardware parameter included — so *any* config change invalidates the
-    entry.
+    entry.  ``None`` for a workload without an identity: nothing names its
+    trace, so its result cannot be cached.
     """
     if workload is None:
         workload = cell.resolve_workload()
+    identity = workload_identity(workload)
+    if identity is None:
+        return None
     spec_dump = asdict(cell.spec)
     # validation is observational — a validated run returns the identical
     # result, so validated and unvalidated cells share cache entries; the
@@ -172,12 +176,6 @@ def cell_fingerprint(cell: Cell, workload: Optional[Any] = None) -> str:
     spec_dump.pop("packed")
     # the config dump records the params in effect (None = DEFAULT_PARAMS)
     spec_dump.pop("params")
-    identity = describe_workload(workload)
-    for knob in ("store_fraction", "code_lines", "mispredict_rate",
-                 "branch_profile", "pcs_per_pattern", "path"):
-        value = getattr(workload, knob, None)
-        if value is not None:
-            identity[knob] = value
     return fingerprint({
         "schema": CACHE_SCHEMA,
         "workload": identity,
@@ -220,7 +218,7 @@ def execute_cells(cells: Sequence[Cell], *,
     record carries its ``spec`` and ``Cell.context``.
     """
     results: list[Optional[SimResult]] = [None] * len(cells)
-    for indices in _workload_groups(cells, range(len(cells))):
+    for indices, _warmup, _sim in _cell_groups(cells, range(len(cells))):
         group = [cells[i] for i in indices]
         workload = group[0].resolve_workload()
         configs = [cell.spec.config_for(workload) for cell in group]
@@ -236,14 +234,25 @@ def execute_cells(cells: Sequence[Cell], *,
     return results  # type: ignore[return-value]
 
 
-def _workload_groups(cells: Sequence[Cell], indices: Iterable[int]) -> list[list[int]]:
-    """Cell indices grouped by workload identity, in first-seen order."""
-    groups: dict[tuple, list[int]] = {}
+def _cell_groups(cells: Sequence[Cell],
+                 indices: Iterable[int]) -> list[tuple[list[int], int, int]]:
+    """Cell indices grouped by (workload identity, trace window), first-seen order.
+
+    Returns ``(indices, warmup, sim)`` per group.  The identity is
+    :func:`~repro.workloads.trace.identity_key` (the object's id for a
+    workload without one, which the cells keep alive meanwhile); the window
+    is each cell's :func:`~repro.workloads.trace.trace_window` (so QMM
+    half-length windows are respected), exactly the window ``get_packed``
+    packs for the group.
+    """
+    groups: dict[tuple, tuple[list[int], int, int]] = {}
     for i in indices:
         cell = cells[i]
-        key = (cell.workload,
-               id(cell.workload_obj) if cell.workload_obj is not None else None)
-        groups.setdefault(key, []).append(i)
+        workload = cell.resolve_workload()
+        window = trace_window(workload, cell.spec.warmup_instructions,
+                              cell.spec.sim_instructions)
+        key = (identity_key(workload) or id(workload), *window)
+        groups.setdefault(key, ([], *window))[0].append(i)
     return list(groups.values())
 
 
@@ -413,28 +422,6 @@ def grid_session(jobs: int = 1) -> Iterator[Optional[_GridSession]]:
         session.close()
 
 
-def _affine_groups(
-    cells: Sequence[Cell], pending: Sequence[int]
-) -> list[tuple[list[int], int, int]]:
-    """Group pending cell indices by (workload identity, pack window).
-
-    Returns ``(indices, warmup, sim)`` per group, in first-seen order.  The
-    window is each cell's :func:`~repro.workloads.trace.trace_window` (so
-    QMM half-length windows are respected), which is also exactly the
-    window the worker's ``get_packed`` will pack.
-    """
-    groups: dict[tuple, tuple[list[int], int, int]] = {}
-    for i in pending:
-        cell = cells[i]
-        window = trace_window(cell.resolve_workload(), cell.spec.warmup_instructions,
-                              cell.spec.sim_instructions)
-        key = (cell.workload,
-               id(cell.workload_obj) if cell.workload_obj is not None else None,
-               *window)
-        groups.setdefault(key, ([], *window))[0].append(i)
-    return list(groups.values())
-
-
 #: relative drive-loop cost per page-cross policy, against the discard
 #: baseline — adaptive policies run filter lookups and epoch threshold
 #: feedback on top of the shared memory-system work, PPF evaluates a
@@ -560,6 +547,8 @@ def run_cells(
     With a cache, cells are first looked up by fingerprint and identical
     in-flight cells are coalesced: the first occurrence simulates, the rest
     are served from the freshly written entry (they count as cache hits).
+    A cell whose workload has no identity (no fingerprint) simulates
+    without touching the cache.
     Only simulated cells are journaled — the journal stays a log of actual
     simulations, while cache stats account for the saved ones.
 
@@ -580,6 +569,9 @@ def run_cells(
         for i, cell in enumerate(cells):
             key = cell_fingerprint(cell)
             keys[i] = key
+            if key is None:  # no workload identity: simulate, uncached
+                pending.append(i)
+                continue
             if key in primary:  # identical in-flight cell: coalesce
                 duplicates.setdefault(primary[key], []).append(i)
                 continue
@@ -600,7 +592,7 @@ def run_cells(
 
     def finish(i: int, result: SimResult) -> None:
         results[i] = result
-        if cache is not None:
+        if keys[i] is not None:
             cache.put(keys[i], result, meta={"workload": cells[i].workload})
         if on_result is not None:
             on_result(i, result, False)
@@ -620,7 +612,7 @@ def run_cells(
 
     workers = min(jobs, len(pending))
     if workers <= 1:
-        for group in _workload_groups(cells, pending):
+        for group, _warmup, _sim in _cell_groups(cells, pending):
             if prog is not None:
                 for i in group:
                     prog.cell_start(i, cells[i].workload, cells[i].policy)
@@ -631,7 +623,7 @@ def run_cells(
         # balance, but never split a chunk across workloads
         chunk_size = max(1, -(-len(pending) // (workers * 2)))
         chunks: list[_Chunk] = []
-        for indices, warmup, sim in _affine_groups(cells, pending):
+        for indices, warmup, sim in _cell_groups(cells, pending):
             for at in range(0, len(indices), chunk_size):
                 piece = indices[at:at + chunk_size]
                 chunks.append((piece, chunk_cost(cells, piece, warmup + sim)))

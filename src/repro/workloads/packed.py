@@ -24,9 +24,7 @@ under ``jobs>1``, in each worker that runs the workload's chunk.
 
 from __future__ import annotations
 
-import os
 import sys
-import weakref
 from array import array
 from collections import OrderedDict
 from itertools import accumulate, repeat
@@ -42,32 +40,13 @@ from repro.workloads.trace import (
     Record,
     STORE,
     Workload,
+    identity_key,
 )
 
 
-def _capacity_from_env() -> int:
-    """Pack-cache capacity, overridable via ``REPRO_PACK_CACHE_CAPACITY``."""
-    raw = os.environ.get("REPRO_PACK_CACHE_CAPACITY")
-    if raw is None:
-        return 32
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_PACK_CACHE_CAPACITY must be a positive integer, got {raw!r}"
-        ) from None
-    if value < 1:
-        raise ValueError(
-            f"REPRO_PACK_CACHE_CAPACITY must be a positive integer, got {raw!r}"
-        )
-    return value
-
-
 #: process-wide pack cache capacity (packs are ~22 bytes/record; the default
-#: 80k-instruction window is ~0.5 MB, so 32 entries stay well under 32 MB);
-#: a grid over more workloads than this silently thrashes, so it is
-#: configurable via the env var
-_CACHE_CAPACITY = _capacity_from_env()
+#: 80k-instruction window is ~0.5 MB, so 32 entries stay well under 32 MB)
+_CACHE_CAPACITY = 32
 
 
 def _byte_table(test: Callable[[int], object]) -> bytes:
@@ -370,33 +349,8 @@ class PackedWorkload:
         return self.packed.records()
 
 
-def _pack_key(workload: Workload, warmup: int, sim: int) -> tuple:
-    """Identity key for the pack cache.
-
-    Registry workloads are identified by (name, suite, seed) — the registry
-    builds each exactly once per process and generation is seed-deterministic.
-    File-backed workloads key on their path; anything else falls back to the
-    object id.  An id-keyed entry only hits while the caller holds the same
-    object, and — because CPython recycles ``id()`` as soon as the object is
-    collected — it is only *valid* that long too: :func:`get_packed` pins a
-    weak reference whose death callback drops the entry, so a recycled id
-    can never serve a stale pack (and unreferenceable objects are simply
-    not cached).
-    """
-    seed = getattr(workload, "seed", None)
-    path = getattr(workload, "path", None)
-    if seed is None and path is None:
-        return (id(workload), warmup, sim)
-    return (type(workload).__name__, workload.name,
-            getattr(workload, "suite", ""), seed, str(path), warmup, sim)
-
-
+#: (identity key, warmup, sim) -> pack, least recently used first
 _PACK_CACHE: OrderedDict[tuple, PackedTrace] = OrderedDict()
-
-#: weak references pinning the anonymous (id-keyed) cache entries to their
-#: living workload objects; the death callback invalidates the entry before
-#: CPython can hand the id to a new allocation
-_ANON_REFS: dict[tuple, "weakref.ref[Workload]"] = {}
 
 #: running byte total of the locally cached packs, maintained incrementally
 #: on insert/evict/clear so the gauge update is O(1) on the pack hot path
@@ -448,11 +402,8 @@ def pack_cache_stats() -> dict[str, int]:
 
 def _evict_oldest() -> None:
     global _CACHE_BYTES
-    key, packed = _PACK_CACHE.popitem(last=False)
+    _key, packed = _PACK_CACHE.popitem(last=False)
     _CACHE_BYTES -= packed.nbytes()
-    # the death callback (if any) checks _ANON_REFS before touching the
-    # cache, so popping here fully retires an anonymous entry
-    _ANON_REFS.pop(key, None)
     evictions = _pack_metrics()[2]
     evictions.inc()
     # observability: a thrashing cache (grid wider than the capacity) shows
@@ -468,37 +419,19 @@ def _evict_oldest() -> None:
     )
 
 
-def _make_anon_reaper(key: tuple) -> Callable[[object], None]:
-    """Death callback dropping an id-keyed cache entry with its workload.
-
-    Fires at referent finalisation — before CPython can hand the id to a
-    new allocation — so a recycled id can never hit a stale pack.  Guarded
-    on ``_ANON_REFS`` because eviction/clear may have retired the entry
-    (and possibly re-inserted a new one under the same recycled key) first.
-    """
-    def _reap(ref: object, key: tuple = key) -> None:
-        global _CACHE_BYTES
-        if _ANON_REFS.get(key) is not ref:
-            return
-        del _ANON_REFS[key]
-        packed = _PACK_CACHE.pop(key, None)
-        if packed is not None:
-            _CACHE_BYTES -= packed.nbytes()
-            _update_bytes_gauge()
-    return _reap
-
-
 def get_packed(workload: Workload, warmup: int, sim: int) -> PackedTrace:
     """Return a (cached) :class:`PackedTrace` covering the given window.
 
-    The cache is process-wide and LRU-bounded (``REPRO_PACK_CACHE_CAPACITY``
-    entries).  Each grid worker process builds its own packs (the arrays are
-    picklable, but shipping them per cell would cost more than packing once
-    per worker).
+    The cache is process-wide, LRU-bounded (``_CACHE_CAPACITY`` entries) and
+    keyed on (:func:`~repro.workloads.trace.workload_identity`, window); a
+    workload without an identity is packed on every call.  Each grid worker
+    process builds its own packs (the arrays are picklable, but shipping
+    them per cell would cost more than packing once per worker).
     """
     metrics = _pack_metrics()
-    key = _pack_key(workload, warmup, sim)
-    packed = _PACK_CACHE.get(key)
+    identity = identity_key(workload)
+    key = (identity, warmup, sim)
+    packed = _PACK_CACHE.get(key)  # never holds an identity-less key
     if packed is not None:
         metrics[0].inc()
         _PACK_CACHE.move_to_end(key)
@@ -508,17 +441,8 @@ def get_packed(workload: Workload, warmup: int, sim: int) -> PackedTrace:
 
     with trace_span("pack", workload=workload.name, warmup=warmup, sim=sim):
         packed = PackedTrace.from_workload(workload, warmup, sim)
-    anonymous = getattr(workload, "seed", None) is None and \
-        getattr(workload, "path", None) is None
-    if anonymous:
-        # id-keyed entries are only valid while the workload object lives:
-        # CPython recycles id() after collection, so pin a weak reference
-        # whose death callback drops the entry first.  Objects that cannot
-        # be weakly referenced are served uncached.
-        try:
-            _ANON_REFS[key] = weakref.ref(workload, _make_anon_reaper(key))
-        except TypeError:
-            return packed
+    if identity is None:
+        return packed
     global _CACHE_BYTES
     _PACK_CACHE[key] = packed
     _CACHE_BYTES += packed.nbytes()
@@ -539,6 +463,5 @@ def clear_pack_cache() -> None:
     """
     global _CACHE_BYTES
     _PACK_CACHE.clear()
-    _ANON_REFS.clear()
     _CACHE_BYTES = 0
     _update_bytes_gauge()

@@ -325,6 +325,22 @@ class TestOverflowTailCache:
             (4, 4, 0, 0), (5, 5, 0, 0), (6, 6, 0, 0)]
         assert not _TAIL_CACHE
 
+    def test_twins_differing_in_a_knob_get_their_own_tails(self):
+        # same name, suite and seed; only mean_gap differs, so the two
+        # overflow streams differ and must not share one memo entry
+        from itertools import islice
+        from repro.cpu.fastpath_mix import (
+            _TAIL_CACHE, _overflow_iterator, _tail_records,
+        )
+        dense = SyntheticWorkload("twin", "TEST", 7, [(lambda: Stream(0), 1 << 30)],
+                                  mean_gap=1.0)
+        sparse = SyntheticWorkload("twin", "TEST", 7, [(lambda: Stream(0), 1 << 30)],
+                                   mean_gap=40.0)
+        for w in (dense, sparse):
+            want = list(islice(_overflow_iterator(w, 100), 300))
+            assert list(islice(_tail_records(w, 100), 300)) == want
+        assert len(_TAIL_CACHE) == 2
+
     def test_cap_falls_back_to_private_stream(self, monkeypatch):
         from itertools import islice
         from repro.cpu import fastpath_mix

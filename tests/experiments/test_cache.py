@@ -6,11 +6,55 @@ from dataclasses import replace
 from repro.experiments.cache import CACHE_SCHEMA, ResultCache, canonical_json, fingerprint
 from repro.experiments.parallel import cell_for, cell_fingerprint, run_cells
 from repro.experiments.runner import RunSpec, run_many, run_policies
+from repro.experiments.sampling import SamplingConfig
 from repro.experiments.sweep import dram_latency_transform, stlb_size_transform
 from repro.params import DEFAULT_PARAMS
 from repro.workloads import by_name
 
 FAST = RunSpec(warmup_instructions=1_000, sim_instructions=3_000)
+WIDE = RunSpec(warmup_instructions=2_000, sim_instructions=6_000)
+
+#: cell_fingerprint digests of registry cells: two windows per workload
+#: (qmm_int_13 runs QMM's half windows), an ISO cell, a sampled cell, a
+#: params override and a native-boundary filter.  Existing cache entries
+#: stay addressable only while these hold.
+GOLDEN = {
+    "astar/1k+3k": ("astar", FAST,
+                    "8c6bacadfcf61aaae4afa3356821cb5446a934bcf5fc5893b713d3071517eb25"),
+    "astar/2k+6k": ("astar", WIDE,
+                    "4c80405beb24e81fe6a77f6ec458b9b1a6be71cf27ec7ab2c3e70b187255909d"),
+    "mcf/1k+3k": ("mcf", FAST,
+                  "eb92635c7a331a83a0a78d08536cb7e9efb9476681ae692a767bfeadf187ede4"),
+    "mcf/2k+6k": ("mcf", WIDE,
+                  "d437bafdd3cf4780961a534cad523f276a4c04df081d993fe09f1a44568cc060"),
+    "qmm_int_13/1k+3k": ("qmm_int_13", FAST,
+                         "0682f444a98b6c600943f0cbdf81a51ec21dfc111f6a54124791edd3ce62d102"),
+    "qmm_int_13/2k+6k": ("qmm_int_13", WIDE,
+                         "ab7572942734812b48557e1a9743384ecf1ff69db18e55138571989db1eecd55"),
+    "astar/iso": ("astar", replace(FAST, policy="iso"),
+                  "1309066903267e201b819027ed15fa818b746bc1b34cda09f9e8d38151b5bcff"),
+    "mcf/sampled": ("mcf", replace(WIDE, policy="dripper",
+                                   sampling=SamplingConfig(intervals=16, phases=4)),
+                    "132e5847f3f160fc1be140de7ea707cf47ec6bda52fbf7abcd89a709cc5f4ce6"),
+    "astar/stlb-768": ("astar", replace(FAST, params=stlb_size_transform(DEFAULT_PARAMS, 768)),
+                       "dba128053d424cbc0c25ae502fb0a5e73917aa00561bd764f6e1a9ffb03749b5"),
+    "qmm_int_13/native": ("qmm_int_13", replace(FAST, policy="dripper",
+                                                filter_at_native_boundary=True),
+                          "5bfee697f41aebd0d9eb6d7636e937daca1043e0ee61be22320ad67cb686ee3c"),
+}
+
+
+class Seedless:
+    """A workload with neither seed nor path, replaying another's records."""
+
+    suite = "TEST"
+
+    def __init__(self, name, source):
+        self.name = name
+        self.source = source
+
+    def generate(self):
+        return self.source.generate()
 
 
 class TestFingerprint:
@@ -27,6 +71,16 @@ class TestFingerprint:
         # a change here must be deliberate and bump CACHE_SCHEMA
         assert cell_fingerprint(cell_for(by_name("astar"), FAST)) == (
             "8c6bacadfcf61aaae4afa3356821cb5446a934bcf5fc5893b713d3071517eb25")
+
+    def test_golden_digests(self):
+        # a change here must be deliberate and bump CACHE_SCHEMA
+        assert CACHE_SCHEMA == 3
+        got = {label: cell_fingerprint(cell_for(by_name(name), spec))
+               for label, (name, spec, _digest) in GOLDEN.items()}
+        assert got == {label: digest for label, (_, _, digest) in GOLDEN.items()}
+
+    def test_workload_without_identity_has_no_key(self):
+        assert cell_fingerprint(cell_for(Seedless("w", by_name("astar")), FAST)) is None
 
     def test_workload_changes_key(self):
         assert cell_fingerprint(cell_for(by_name("astar"), FAST)) != \
@@ -97,6 +151,16 @@ class TestResultCache:
         cached = run_policies(workloads, policies, base_spec=FAST, jobs=2, cache=warm)
         assert cached == serial
         assert warm.stats == {"hits": 4, "misses": 0, "stores": 0}
+
+    def test_same_named_seedless_workloads_are_never_cached(self, tmp_path):
+        # two workloads named "w" with no seed or path: nothing names their
+        # traces, so neither may be served the other's result
+        cache = ResultCache(tmp_path)
+        workloads = [Seedless("w", by_name("astar")), Seedless("w", by_name("mcf"))]
+        results = run_cells([cell_for(w, FAST) for w in workloads], cache=cache)
+        assert cache.stats == {"hits": 0, "misses": 0, "stores": 0}
+        assert results == [run_cells([cell_for(w, FAST)])[0] for w in workloads]
+        assert results[0].ipc != results[1].ipc
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -10,7 +10,7 @@ import pytest
 from repro.experiments.cache import ResultCache
 from repro.experiments.parallel import (
     Cell,
-    _affine_groups,
+    _cell_groups,
     _run_on_pool,
     cell_for,
     chunk_cost,
@@ -274,14 +274,14 @@ class TestAffineScheduling:
             for p in ("discard", "permit")
             for w in ("astar", "hmmer")
         ]
-        groups = _affine_groups(cells, range(len(cells)))
+        groups = _cell_groups(cells, range(len(cells)))
         assert [idx for idx, _, _ in groups] == [[0, 2], [1, 3]]
         assert all((warm, sim) == (1_000, 3_000) for _, warm, sim in groups)
 
     def test_window_splits_groups(self):
         longer = replace(FAST, sim_instructions=4_000)
         cells = [cell_for(by_name("astar"), spec) for spec in (FAST, longer, FAST)]
-        groups = _affine_groups(cells, range(len(cells)))
+        groups = _cell_groups(cells, range(len(cells)))
         assert [(idx, sim) for idx, _, sim in groups] == [([0, 2], 3_000), ([1], 4_000)]
 
 

@@ -14,12 +14,12 @@ from repro.workloads import by_name
 from repro.workloads.packed import (
     PackedTrace,
     PackedWorkload,
-    _capacity_from_env,
     clear_pack_cache,
     get_packed,
     pack_cache_stats,
 )
 from repro.workloads import packed as packed_module
+from repro.workloads.synthetic import SyntheticWorkload
 from repro.workloads.trace import BRANCH, DEPENDS, LOAD, MISPREDICT, STORE
 from repro.workloads.trace_io import FileWorkload, snapshot_workload
 
@@ -138,9 +138,44 @@ class TestPackIndex:
         assert {k: getattr(idx, k) for k in masks} == masks
 
 
+def twin(mean_gap):
+    """A seeded workload that differs from its twin only in ``mean_gap``."""
+    return SyntheticWorkload("twin", "TEST", 1, by_name("astar").phases, mean_gap=mean_gap)
+
+
+class TestWorkloadIdentity:
+    CONFIG = SimConfig(policy_factory=DiscardPgc, warmup_instructions=1_000,
+                       sim_instructions=3_000)
+
+    def test_twins_differing_in_a_knob_get_their_own_packs(self):
+        clear_pack_cache()
+        dense, sparse = twin(3.0), twin(30.0)
+        packs = [get_packed(w, 1_000, 3_000) for w in (dense, sparse)]
+        assert packs[0] is not packs[1]
+        for w, pack in zip((dense, sparse), packs):
+            assert list(pack.records()) == list(
+                PackedTrace.from_workload(w, 1_000, 3_000).records())
+            assert result_diff(simulate(w, self.CONFIG),
+                               simulate(w, replace(self.CONFIG, packed=True))) == {}
+        clear_pack_cache()
+
+    def test_workload_without_identity_packs_on_every_call(self):
+        clear_pack_cache()
+        w = HighGapWorkload()
+        size = pack_cache_stats()["size"]
+        for _ in range(2):
+            misses = pack_cache_stats()["misses"]
+            get_packed(w, 1_500, 3_000)
+            assert pack_cache_stats()["misses"] == misses + 1
+            assert pack_cache_stats()["size"] == size
+        config = replace(self.CONFIG, warmup_instructions=1_500)
+        assert result_diff(simulate(w, config),
+                           simulate(w, replace(config, packed=True))) == {}
+
+
 class SlottedWorkload:
-    """No seed/path and no ``__weakref__`` slot: cannot be pinned to the
-    cache, so :func:`get_packed` must serve it uncached."""
+    """No seed/path and no ``__weakref__`` slot: an identity-less workload
+    that could not even be tracked by object lifetime."""
 
     __slots__ = ("records", "gap")
     name = "slotted"
@@ -157,36 +192,15 @@ class SlottedWorkload:
 
 class TestAnonymousPackIdentity:
     def test_entry_dies_with_workload(self):
+        # an identity-less workload leaves no entry behind, alive or dead
         clear_pack_cache()
         w = HighGapWorkload()
         get_packed(w, 1_500, 3_000)
-        assert pack_cache_stats()["size"] == 1
+        assert pack_cache_stats()["size"] == 0
         del w
         gc.collect()
         assert pack_cache_stats()["size"] == 0
-        assert packed_module._ANON_REFS == {}
-        clear_pack_cache()
-
-    def test_recycled_id_cannot_serve_stale_pack(self):
-        # id-keyed entries must die with their workload: when CPython hands
-        # the freed id to a *different* workload, get_packed must re-pack
-        # instead of serving the dead object's (larger) pack
-        clear_pack_cache()
-        w = HighGapWorkload(records=60)
-        stale = get_packed(w, 1_500, 3_000)
-        addr = id(w)
-        del w
-        gc.collect()
-        for _ in range(256):
-            candidate = HighGapWorkload(records=3)
-            if id(candidate) == addr:
-                break
-            candidate = None
-        else:
-            pytest.skip("allocator did not recycle the object id")
-        repacked = get_packed(candidate, 1_500, 3_000)
-        assert repacked is not stale
-        assert len(repacked) == 3
+        assert packed_module._PACK_CACHE == {}
         clear_pack_cache()
 
     def test_unweakrefable_workload_served_uncached(self):
@@ -225,10 +239,12 @@ class TestBytesGauge:
         assert packed_module._CACHE_BYTES == 0
 
     def test_anonymous_death_updates_gauge(self):
+        # an uncached pack never enters the gauge, so its workload's death
+        # has nothing to take out of it
         clear_pack_cache()
         w = HighGapWorkload()
-        get_packed(w, 1_500, 3_000)
-        assert self._gauge_value() == self._resident_bytes() > 0
+        assert len(get_packed(w, 1_500, 3_000)) > 0
+        assert self._gauge_value() == self._resident_bytes() == 0
         del w
         gc.collect()
         assert self._gauge_value() == 0
@@ -275,16 +291,6 @@ class TestPackCacheCapacity:
         assert get_packed(w, 1_000, 2_000) is first  # moves to MRU
         get_packed(w, 1_000, 4_000)  # evicts the 3_000 window instead
         assert get_packed(w, 1_000, 2_000) is first
-
-    def test_env_var_parsing(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PACK_CACHE_CAPACITY", raising=False)
-        assert _capacity_from_env() == 32
-        monkeypatch.setenv("REPRO_PACK_CACHE_CAPACITY", "5")
-        assert _capacity_from_env() == 5
-        for bad in ("zero", "0", "-3"):
-            monkeypatch.setenv("REPRO_PACK_CACHE_CAPACITY", bad)
-            with pytest.raises(ValueError, match="REPRO_PACK_CACHE_CAPACITY"):
-                _capacity_from_env()
 
     def test_eviction_emits_obs_event(self, bounded_cache, caplog):
         import logging
